@@ -762,7 +762,7 @@ class PartitionAdjuster:
         table = self.tables[direction]
         table.interfaces = interfaces
         table.layouts = layouts
-        self.partitions._table = partitions._table  # noqa: SLF001 - same class
+        self.partitions.restore(partitions)
 
     def _finalize_depths(self, outcome: AdjustmentOutcome) -> None:
         outcome._depths = [

@@ -35,6 +35,7 @@ from ..net.topology import Direction, LinkRef, TreeTopology
 from .adjustment import AdjustmentOutcome
 from .demand import LedgerError
 from .interface_gen import generate_interfaces
+from .link_sched import RateMonotonic
 from .manager import HarpNetwork, rate_monotonic_priority
 
 
@@ -203,7 +204,12 @@ class TopologyManager:
         harp.plane.topology = new_topology
         harp.adjuster.topology = new_topology
         harp.task_set = new_tasks
-        harp.priority = rate_monotonic_priority(new_tasks)
+        if self.incremental and isinstance(harp.priority, RateMonotonic):
+            harp.priority.apply_change(
+                kind, node, old_topology, new_topology, old_tasks, new_tasks
+            )
+        else:
+            harp.priority = rate_monotonic_priority(new_tasks)
         if self.incremental and harp.demand_ledger is not None:
             try:
                 harp.demand_ledger.apply_change(
@@ -247,12 +253,15 @@ class TopologyManager:
                 for outcome in report.outcomes:
                     dirty.update(outcome.involved_nodes)
                     dirty.update(key[0] for key in outcome.moved_partitions)
-            # 5. Safety net: every remaining link must cover its demand.
+            # 5. Safety net: every remaining link must cover its demand,
+            #    and what changed since the last certificate (this op and
+            #    any rate changes before it) keeps isolation and
+            #    collision freedom — a violation re-bootstraps below.
             self._reconcile_managers(report, dirty)
             if not report.success:
                 raise _IncrementalFailure()
             self._verify_coverage(dirty)
-            harp.validate()
+            harp.validate_changes()
         except Exception:
             # Incremental reconfiguration failed: fall back to the full
             # static phase on the new state.

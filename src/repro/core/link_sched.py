@@ -18,12 +18,20 @@ integration tests and Fig. 11 verify.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..net.slotframe import Cell, Schedule, SlotframeConfig
-from ..net.tasks import TaskSet, demands_by_parent
+from ..net.tasks import Task, TaskSet, demands_by_parent
 from ..net.topology import Direction, LinkRef, TreeTopology
 from .partition import Partition, PartitionTable
 
@@ -36,42 +44,263 @@ class ScheduleGenerationError(RuntimeError):
     impossible after a correct allocation)."""
 
 
-def rate_monotonic_priority(task_set: TaskSet) -> PriorityFn:
+class RateMonotonic:
     """RM priority: ascending minimum task period through the link
     (higher-rate links first), ties broken by child id.
 
-    The per-link minimum period is memoized per topology: one pass over
-    every task's routing path builds the whole link->period map, instead
-    of re-walking all paths for every link queried (the dominant cost of
-    schedule builds on large trees).  Topologies are treated as
-    immutable — the repo's mutation APIs always produce a *new*
-    TreeTopology — so the memo keys on object identity and keeps a
-    strong reference to guard against id reuse.
+    The per-link minimum period lives in one flat table — per link, the
+    minimum and how many tasks attain it — built when a topology is
+    first queried, instead of re-walking all paths for every link (the
+    dominant cost of schedule builds on large trees).  A link carries
+    the tasks that start (uplink) or end (downlink) on it plus those of
+    its child links, so one bottom-up pass over the nodes builds the
+    whole table.  Topologies are immutable (every mutation API returns
+    a *new* TreeTopology), so the table is keyed by the identity of the
+    topology it describes; querying another one rebuilds it.
+
+    The dynamics layer keeps the table current across ops with O(path)
+    deltas (:meth:`apply_change`, :meth:`change_rate`) instead of a
+    rebuild per op.  A link whose minimum loses its last task is
+    recomputed the same way, deepest link first.
     """
-    memo: "OrderedDict[int, Tuple[TreeTopology, Dict[LinkRef, float]]]" = (
-        OrderedDict()
-    )
 
-    def min_periods(topology: TreeTopology) -> Dict[LinkRef, float]:
-        entry = memo.get(id(topology))
-        if entry is not None and entry[0] is topology:
-            return entry[1]
-        table: Dict[LinkRef, float] = {}
-        for task in task_set:
-            period = task.period_slotframes
-            for link in TaskSet.links_of_task(topology, task):
-                best = table.get(link)
-                if best is None or period < best:
-                    table[link] = period
-        memo[id(topology)] = (topology, table)
-        while len(memo) > 4:   # heals/failovers retire old topologies
-            memo.popitem(last=False)
-        return table
+    def __init__(self, task_set: TaskSet) -> None:
+        self.task_set = task_set
+        self.topology: Optional[TreeTopology] = None
+        # Per direction, keyed by the link's child node (int keys keep
+        # the tables out of the garbage collector's traversals).
+        self._min: Dict[Direction, Dict[int, float]] = {}
+        self._count: Dict[Direction, Dict[int, int]] = {}
+        # Periods of the tasks starting or ending on each link, kept
+        # once a recompute has needed them.
+        self._own: Optional[Dict[Direction, Dict[int, List[float]]]] = None
+        self._stale: Set[LinkRef] = set()
 
-    def priority(topology: TreeTopology, link: LinkRef) -> Tuple:
-        return (min_periods(topology).get(link, math.inf), link.child)
+    def __call__(self, topology: TreeTopology, link: LinkRef) -> Tuple:
+        if topology is not self.topology:
+            self._build(topology)
+        return (
+            self._min[link.direction].get(link.child, math.inf),
+            link.child,
+        )
 
-    return priority
+    def _build(self, topology: TreeTopology) -> None:
+        self.topology = topology
+        self._min = {direction: {} for direction in Direction}
+        self._count = {direction: {} for direction in Direction}
+        self._own = None
+        self._stale = set()
+        own = _own_periods(self.task_set)
+        gateway = topology.gateway_id
+        for direction in Direction:
+            for node in topology.nodes_bottom_up():
+                if node != gateway:
+                    self._recompute(topology, own, node, direction)
+
+    def _recompute(
+        self,
+        topology: TreeTopology,
+        own: Dict[Direction, Dict[int, List[float]]],
+        node: int,
+        direction: Direction,
+    ) -> None:
+        """(Re)derive link ``(node, direction)`` from its own tasks and
+        its child links, which must be current."""
+        best, count = math.inf, 0
+        for period in own[direction].get(node, ()):
+            if period < best:
+                best, count = period, 1
+            elif period == best:
+                count += 1
+        mins, counts = self._min[direction], self._count[direction]
+        for child in topology.children_of(node):
+            period = mins.get(child)
+            if period is None or period > best:
+                continue
+            if period < best:
+                best, count = period, counts[child]
+            else:
+                count += counts[child]
+        if count:
+            mins[node], counts[node] = best, count
+        else:
+            mins.pop(node, None)
+            counts.pop(node, None)
+
+    def _reset(self, task_set: TaskSet) -> None:
+        """Describe ``task_set``, rebuilt at the next lookup."""
+        self.task_set = task_set
+        self.topology = None
+
+    # ------------------------------------------------------------------
+    # deltas
+    # ------------------------------------------------------------------
+
+    def apply_change(
+        self,
+        kind: str,
+        node: int,
+        old_topology: TreeTopology,
+        new_topology: TreeTopology,
+        old_tasks: TaskSet,
+        new_tasks: TaskSet,
+    ) -> None:
+        """Move the table from ``(old_topology, old_tasks)`` to the state
+        after one topology op (the task delta of
+        :meth:`~repro.core.demand.DemandLedger.apply_change`)."""
+        if self.topology is not old_topology or self.task_set is not old_tasks:
+            self._reset(new_tasks)
+            return
+        if kind == "attach":
+            for task in new_tasks:
+                if task.task_id not in old_tasks:
+                    self._add_task(new_topology, task)
+        elif kind == "detach":
+            for task in old_tasks:
+                if task.task_id not in new_tasks:
+                    self._remove_task(old_topology, task)
+        elif kind == "reparent":
+            # Links inside the moved subtree carry the same tasks before
+            # and after; only the paths above it change.  Every removal
+            # runs under the old topology before any addition under the
+            # new one, so no recompute sees a half-moved subtree.
+            moved = set(old_topology.subtree_span(node))
+            crossing = [
+                task for task in new_tasks
+                if task.source in moved
+                or (task.echo and task.downlink_target in moved)
+            ]
+            for task in crossing:
+                self._exclude(
+                    _links_outside(old_topology, task, moved),
+                    task.period_slotframes,
+                )
+            for task in crossing:
+                self._include(
+                    _links_outside(new_topology, task, moved),
+                    task.period_slotframes,
+                )
+        else:
+            raise ValueError(f"unknown topology change kind {kind!r}")
+        self._settle(new_topology, new_tasks)
+
+    def change_rate(
+        self,
+        topology: TreeTopology,
+        old_tasks: TaskSet,
+        new_tasks: TaskSet,
+        task_id: int,
+    ) -> None:
+        """Move the table from ``old_tasks`` to ``new_tasks``, which
+        differ in the rate of task ``task_id``."""
+        if self.topology is not topology or self.task_set is not old_tasks:
+            self._reset(new_tasks)
+            return
+        old, new = old_tasks.by_id(task_id), new_tasks.by_id(task_id)
+        if old.period_slotframes != new.period_slotframes:
+            # Adding first keeps a shortened period from ever emptying a
+            # link's minimum, so only a lengthened one can need a
+            # recompute.
+            self._add_task(topology, new)
+            self._remove_task(topology, old)
+        self._settle(topology, new_tasks)
+
+    def _add_task(self, topology: TreeTopology, task: Task) -> None:
+        period = task.period_slotframes
+        self._include(TaskSet.links_of_task(topology, task), period)
+        if self._own is not None:
+            for direction, node in _task_ends(task):
+                self._own[direction].setdefault(node, []).append(period)
+
+    def _remove_task(self, topology: TreeTopology, task: Task) -> None:
+        period = task.period_slotframes
+        self._exclude(TaskSet.links_of_task(topology, task), period)
+        if self._own is not None:
+            for direction, node in _task_ends(task):
+                periods = self._own[direction][node]
+                periods.remove(period)
+                if not periods:
+                    del self._own[direction][node]
+
+    def _include(self, links: Iterable[LinkRef], period: float) -> None:
+        for link in links:
+            mins = self._min[link.direction]
+            best = mins.get(link.child)
+            if best is None or period < best:
+                mins[link.child] = period
+                self._count[link.direction][link.child] = 1
+            elif period == best:
+                self._count[link.direction][link.child] += 1
+
+    def _exclude(self, links: Iterable[LinkRef], period: float) -> None:
+        for link in links:
+            mins = self._min[link.direction]
+            counts = self._count[link.direction]
+            best = mins.get(link.child)
+            if best is None or period < best:
+                self._stale.add(link)  # already lost its minimum
+            elif period == best:
+                if counts[link.child] > 1:
+                    counts[link.child] -= 1
+                else:
+                    del mins[link.child], counts[link.child]
+                    self._stale.add(link)
+
+    def _settle(self, topology: TreeTopology, task_set: TaskSet) -> None:
+        """Adopt the new state and recompute every link that lost its
+        minimum, children before parents."""
+        self.topology, self.task_set = topology, task_set
+        stale = []
+        for link in self._stale:
+            if link.child in topology:
+                stale.append(link)
+            else:  # the link left with its subtree
+                self._min[link.direction].pop(link.child, None)
+                self._count[link.direction].pop(link.child, None)
+        self._stale = set()
+        if not stale:
+            return
+        if self._own is None:
+            self._own = _own_periods(task_set)
+        stale.sort(key=lambda link: -topology.depth_of(link.child))
+        for link in stale:
+            self._recompute(topology, self._own, link.child, link.direction)
+
+
+def _task_ends(task: Task) -> Iterator[Tuple[Direction, int]]:
+    """The link each leg of ``task`` starts (uplink) or ends (downlink)
+    on, as (direction, child node)."""
+    yield Direction.UP, task.source
+    if task.echo:
+        yield Direction.DOWN, task.downlink_target
+
+
+def _own_periods(task_set: TaskSet) -> Dict[Direction, Dict[int, List[float]]]:
+    """Per direction and node, the periods of the tasks whose leg starts
+    or ends on that node's link."""
+    own: Dict[Direction, Dict[int, List[float]]] = {
+        direction: {} for direction in Direction
+    }
+    for task in task_set:
+        for direction, node in _task_ends(task):
+            own[direction].setdefault(node, []).append(
+                task.period_slotframes
+            )
+    return own
+
+
+def _links_outside(
+    topology: TreeTopology, task: Task, subtree: Set[int]
+) -> List[LinkRef]:
+    return [
+        link for link in TaskSet.links_of_task(topology, task)
+        if link.child not in subtree
+    ]
+
+
+def rate_monotonic_priority(task_set: TaskSet) -> RateMonotonic:
+    """RM priority over ``task_set`` (see :class:`RateMonotonic`)."""
+    return RateMonotonic(task_set)
 
 
 def edf_priority(deadlines: Mapping[int, float]) -> PriorityFn:
@@ -97,20 +326,29 @@ def partition_cells(
     partition: Partition,
     config: SlotframeConfig,
     wrap_slots: Optional[int] = None,
+    limit: Optional[int] = None,
 ) -> List[Cell]:
     """Enumerate the cells of a partition, slot-major.
 
     ``wrap_slots`` maps virtual slots beyond the data sub-frame back into
     ``[0, wrap_slots)`` — overflow mode for the Fig. 11(b) study.  In
     normal operation partitions lie inside the frame and no wrapping
-    occurs.
+    occurs.  ``limit`` stops after the first ``limit`` cells (a node
+    hands out only its links' demand, and slack-stretched partitions can
+    span most of the frame).
     """
-    cells: List[Cell] = []
     region = partition.region
-    for slot in range(region.x, region.x2):
-        actual_slot = slot % wrap_slots if wrap_slots else slot
-        for channel in range(region.y, region.y2):
-            cells.append(Cell(actual_slot, channel))
+    channels = range(region.y, region.y2)
+    n_slots = region.width
+    if limit is not None and channels:
+        n_slots = min(n_slots, -(-limit // len(channels)))
+    cells = [
+        Cell(slot % wrap_slots if wrap_slots else slot, channel)
+        for slot in range(region.x, region.x + n_slots)
+        for channel in channels
+    ]
+    if limit is not None:
+        del cells[limit:]
     return cells
 
 
@@ -135,13 +373,17 @@ def schedule_node_links(
     node owns its partition exclusively, so using every cell is free and
     lets lossy links drain their backlog.
     """
-    cells = partition_cells(partition, config, wrap_slots)
     total_demand = sum(demands.values())
-    if total_demand > len(cells):
+    if total_demand > partition.capacity:
         raise ScheduleGenerationError(
             f"node {node} ({direction.value}, layer {partition.layer}): "
-            f"demand {total_demand} exceeds partition capacity {len(cells)}"
+            f"demand {total_demand} exceeds partition capacity "
+            f"{partition.capacity}"
         )
+    cells = partition_cells(
+        partition, config, wrap_slots,
+        None if distribute_idle else total_demand,
+    )
     links = sorted(
         (LinkRef(child, direction) for child in demands),
         key=lambda link: priority(topology, link),

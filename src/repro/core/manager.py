@@ -42,6 +42,7 @@ from .parallel_gen import (
 )
 from .link_sched import (
     PriorityFn,
+    RateMonotonic,
     build_schedule,
     rate_monotonic_priority,
     schedule_node_links,
@@ -376,8 +377,16 @@ class HarpNetwork:
 
         if self.demand_ledger is not None:
             self.demand_ledger.change_rate(self.topology, task, new_rate)
+        # Without a ledger (the naive oracle path) RM is rebuilt too.
+        if self.demand_ledger is not None and isinstance(
+            self.priority, RateMonotonic
+        ):
+            self.priority.change_rate(
+                self.topology, self.task_set, new_task_set, task_id
+            )
+        else:
+            self.priority = rate_monotonic_priority(new_task_set)
         self.task_set = new_task_set
-        self.priority = rate_monotonic_priority(self.task_set)
         return report
 
     def _adjust_managing_node(self, link: LinkRef) -> AdjustmentOutcome:
@@ -407,26 +416,28 @@ class HarpNetwork:
 
     def _reschedule_node(self, node: int, direction: Direction) -> int:
         """Rebuild ``node``'s local link schedule inside its (possibly
-        moved) partition; returns schedule-update message count."""
-        if self._schedule is None:
+        moved) partition; returns schedule-update message count.
+
+        Only links whose sorted cells change are touched in the
+        schedule — exactly the links the message count counts."""
+        schedule = self._schedule
+        if schedule is None:
             return 0
         demands = demands_for_parent(
             self.topology, self.link_demands, node, direction
         )
         old_cells = {
-            child: self._schedule.cells_of(LinkRef(child, direction))
+            child: schedule.cells_of(LinkRef(child, direction))
             for child in self.topology.children_of(node)
         }
-        # Clear existing assignments of this node's child links.
-        for child in self.topology.children_of(node):
-            self._schedule.remove_link(LinkRef(child, direction))
-        if not demands:
-            return sum(1 for cells in old_cells.values() if cells)
         partition = self.partitions.get(
             node, self.topology.node_layer(node), direction
         )
-        if partition is None:
-            return 0
+        if not demands or partition is None:
+            for child in old_cells:
+                schedule.remove_link(LinkRef(child, direction))
+            # Children that lost all demand are told to drop their cells.
+            return 0 if demands else sum(1 for c in old_cells.values() if c)
         # During a multi-step reconfiguration the demand may transiently
         # exceed a not-yet-grown partition (e.g. a neighbour's adjustment
         # relocates this node's region before its own growth request has
@@ -461,12 +472,13 @@ class HarpNetwork:
             self.distribute_idle_cells,
             self.interleave_cells,
         )
-        changed = 0
-        for child, cells in assignment.items():
-            self._schedule.assign_many(cells, LinkRef(child, direction))
-            if sorted(cells) != old_cells.get(child, []):
-                changed += 1
-        return changed
+        changes = {}
+        for child, old in old_cells.items():
+            cells = assignment.get(child, [])
+            if sorted(cells) != old:
+                changes[LinkRef(child, direction)] = cells
+        schedule.replace_cells(changes)
+        return sum(1 for cells in changes.values() if cells)
 
     def rebootstrap(self) -> StaticPhaseReport:
         """Re-run the full static phase on the current topology/tasks.
@@ -497,7 +509,39 @@ class HarpNetwork:
 
     def validate(self) -> None:
         """Assert HARP's invariants: partition isolation and (unless in
-        overflow mode) a collision-free schedule."""
+        overflow mode) a collision-free schedule.
+
+        A pass is a certificate for the whole network, so it also starts
+        recording what the partition table and the schedule hand out
+        next, for :meth:`validate_changes`."""
         self.partitions.validate_isolation(self.topology)
         if not self.allow_overflow:
             self.schedule.validate_collision_free(self.topology)
+        self.partitions.record_changes()
+        if self._schedule is not None:
+            self._schedule.record_changes()
+
+    def validate_changes(self) -> None:
+        """Assert the same invariants as :meth:`validate`, checking only
+        what changed since its last certificate: the partitions set or
+        removed and the links assigned cells, by any op in between (rate
+        changes included).
+
+        Runs the whole-network :meth:`validate` instead when nothing is
+        being recorded (a fresh or re-bootstrapped network).  A pass
+        starts a fresh record."""
+        partitions, schedule = self.partitions, self._schedule
+        if (
+            partitions.changed is None
+            or schedule is None
+            or schedule.changed is None
+        ):
+            self.validate()
+            return
+        partitions.validate_keys_isolation(self.topology, partitions.changed)
+        if not self.allow_overflow:
+            schedule.validate_links_collision_free(
+                self.topology, schedule.changed
+            )
+        partitions.record_changes()
+        schedule.record_changes()

@@ -11,7 +11,7 @@ back HARP's collision-freedom argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..net.topology import Direction, TreeTopology
 from ..packing.geometry import PlacedRect
@@ -121,6 +121,14 @@ class PartitionTable:
         # Keeps ``of_node`` O(own partitions) instead of O(table); the
         # dynamics purge path calls it once per moved subtree member.
         self._by_owner: Dict[int, Dict[Tuple[int, Direction], Partition]] = {}
+        #: Keys set or removed since :meth:`record_changes`, or None while
+        #: nothing is being recorded (the default).
+        self.changed: Optional[Set[PartitionKey]] = None
+
+    def record_changes(self) -> None:
+        """Start a fresh record of the keys that get set or removed — the
+        input of :meth:`validate_keys_isolation`."""
+        self.changed = set()
 
     def set(self, partition: Partition) -> None:
         """Insert or replace a partition."""
@@ -128,6 +136,8 @@ class PartitionTable:
         self._by_owner.setdefault(partition.owner, {})[
             (partition.layer, partition.direction)
         ] = partition
+        if self.changed is not None:
+            self.changed.add(partition.key)
 
     def get(
         self, owner: int, layer: int, direction: Direction
@@ -147,6 +157,8 @@ class PartitionTable:
             del owned[(layer, direction)]
             if not owned:
                 del self._by_owner[owner]
+            if self.changed is not None:
+                self.changed.add(removed.key)
 
     def of_node(self, owner: int) -> List[Partition]:
         """All partitions owned by ``owner``, sorted by (direction, layer)."""
@@ -175,13 +187,20 @@ class PartitionTable:
         return iter(sorted(self._table.values(), key=lambda p: p.key[:2]))
 
     def copy(self) -> "PartitionTable":
-        """Shallow copy (partitions are immutable)."""
+        """Shallow copy (partitions are immutable) that records nothing."""
         clone = PartitionTable()
         clone._table = dict(self._table)
         clone._by_owner = {
             owner: dict(owned) for owner, owned in self._by_owner.items()
         }
         return clone
+
+    def restore(self, snapshot: "PartitionTable") -> None:
+        """Roll back to ``snapshot`` (a :meth:`copy` taken earlier), both
+        indexes.  Every key that differs was set or removed since the
+        snapshot, so the change record already holds it."""
+        self._table = snapshot._table
+        self._by_owner = snapshot._by_owner
 
     # ------------------------------------------------------------------
     # isolation invariants (Sec. IV-C)
@@ -197,13 +216,7 @@ class PartitionTable:
            across layers and directions.
         """
         gateway = topology.gateway_id
-        top = list(self._by_owner.get(gateway, {}).values())
-        for i, a in enumerate(top):
-            for b in top[i + 1:]:
-                if a.region.overlaps(b.region):
-                    raise PartitionIsolationError(
-                        f"gateway partitions overlap: {a} vs {b}"
-                    )
+        self._check_gateway(gateway)
 
         # Group non-gateway partitions by (parent, layer, direction) so
         # the sibling-disjointness check compares each sibling group
@@ -235,3 +248,72 @@ class PartitionTable:
             ).append(partition)
         for group in sibling_groups.values():
             _check_group_disjoint(group)
+
+    def validate_keys_isolation(
+        self, topology: TreeTopology, keys: Iterable[PartitionKey]
+    ) -> None:
+        """:meth:`validate_isolation` restricted to ``keys`` (present or
+        removed): each key's partition nests in its parent's and is
+        disjoint from its siblings, its children's partitions still nest
+        in it, and the gateway's pairwise check runs when a gateway key
+        is among them.
+
+        On a table that was isolated before ``keys`` were set or removed
+        this certifies the whole table, because every new violation
+        involves a changed partition or a changed parent of one.
+        """
+        table = self._table
+        gateway = topology.gateway_id
+        groups: Set[Tuple[int, int, Direction]] = set()
+        gateway_changed = False
+        for key in keys:
+            owner, layer, direction = key
+            partition = table.get(key)
+            if owner == gateway:
+                gateway_changed = True
+            elif partition is not None:
+                parent = topology.parent_map[owner]
+                parent_part = table.get((parent, layer, direction))
+                if parent_part is None:
+                    raise PartitionIsolationError(
+                        f"{partition} has no parent partition at "
+                        f"({parent}, {layer}, {direction})"
+                    )
+                if not parent_part.region.contains(partition.region):
+                    raise PartitionIsolationError(
+                        f"{partition} escapes parent {parent_part}"
+                    )
+                groups.add((parent, layer, direction))
+            if owner not in topology:
+                continue
+            for child in topology.children_of(owner):
+                child_part = table.get((child, layer, direction))
+                if child_part is None:
+                    continue
+                if partition is None:
+                    raise PartitionIsolationError(
+                        f"{child_part} has no parent partition at {key}"
+                    )
+                if not partition.region.contains(child_part.region):
+                    raise PartitionIsolationError(
+                        f"{child_part} escapes parent {partition}"
+                    )
+        if gateway_changed:
+            self._check_gateway(gateway)
+        for parent, layer, direction in groups:
+            _check_group_disjoint([
+                part
+                for child in topology.children_of(parent)
+                for part in [table.get((child, layer, direction))]
+                if part is not None
+            ])
+
+    def _check_gateway(self, gateway: int) -> None:
+        """The gateway's top-level partitions are pairwise disjoint."""
+        top = list(self._by_owner.get(gateway, {}).values())
+        for i, a in enumerate(top):
+            for b in top[i + 1:]:
+                if a.region.overlaps(b.region):
+                    raise PartitionIsolationError(
+                        f"gateway partitions overlap: {a} vs {b}"
+                    )

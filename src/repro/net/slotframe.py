@@ -16,7 +16,16 @@ sub-frame (enhanced beacons, RPL, keep-alives and HARP messages); the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .topology import LinkRef, TreeTopology
 
@@ -126,10 +135,18 @@ class Schedule:
         self.config = config
         self._by_cell: Dict[Cell, List[LinkRef]] = {}
         self._by_link: Dict[LinkRef, List[Cell]] = {}
+        #: Links assigned a cell since :meth:`record_changes`, or None
+        #: while nothing is being recorded (the default).
+        self.changed: Optional[Set[LinkRef]] = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+
+    def record_changes(self) -> None:
+        """Start a fresh record of the links that get assigned cells —
+        the input of :meth:`validate_links_collision_free`."""
+        self.changed = set()
 
     def assign(self, cell: Cell, link: LinkRef) -> None:
         """Assign ``cell`` to ``link`` (duplicates for the same pair are
@@ -141,11 +158,35 @@ class Schedule:
             raise ValueError(f"cell {cell} already assigned to {link}")
         users.append(link)
         self._by_link.setdefault(link, []).append(cell)
+        if self.changed is not None:
+            self.changed.add(link)
 
     def assign_many(self, cells: Iterable[Cell], link: LinkRef) -> None:
         """Assign each cell in ``cells`` to ``link``."""
         for cell in cells:
             self.assign(cell, link)
+
+    def replace_cells(
+        self, changes: Mapping[LinkRef, Iterable[Cell]]
+    ) -> None:
+        """Give each link in ``changes`` exactly its new cells (none
+        removes it), as one batch: a cell that only changes hands keeps
+        its entry instead of being deleted and re-inserted."""
+        by_cell = self._by_cell
+        vacated: List[Cell] = []
+        for link in changes:
+            for cell in self._by_link.pop(link, ()):
+                users = by_cell[cell]
+                users.remove(link)
+                if not users:
+                    vacated.append(cell)
+        try:
+            for link, cells in changes.items():
+                self.assign_many(cells, link)
+        finally:
+            for cell in vacated:
+                if cell in by_cell and not by_cell[cell]:
+                    del by_cell[cell]
 
     def remove_link(self, link: LinkRef) -> None:
         """Remove every assignment of ``link`` (dynamic cell release)."""
@@ -286,6 +327,49 @@ class Schedule:
         report = self.conflicts(topology)
         if not report.is_collision_free:
             raise ScheduleConflictError(report)
+
+    def validate_links_collision_free(
+        self, topology: TreeTopology, links: Iterable[LinkRef]
+    ) -> None:
+        """:meth:`validate_collision_free` restricted to the cells of
+        ``links``: each such cell hosts one link, and neither endpoint is
+        active on another channel of the same slot.
+
+        On a schedule that was collision-free before ``links`` were
+        (re)assigned this certifies the whole schedule, because every new
+        conflict involves at least one new assignment.
+        """
+        if self._links_clean(topology, links):
+            return
+        report = self.conflicts(topology)
+        if not report.is_collision_free:
+            raise ScheduleConflictError(report)
+
+    def _links_clean(
+        self, topology: TreeTopology, links: Iterable[LinkRef]
+    ) -> bool:
+        by_cell = self._by_cell
+        channels = range(self.config.num_channels)
+        endpoint_memo: Dict[LinkRef, Tuple[int, int]] = {}
+        for link in links:
+            mine = None
+            for slot, channel in self._by_link.get(link, ()):
+                if mine is None:
+                    mine = link.endpoints(topology)
+                # Cell is a NamedTuple: plain tuples probe the same keys.
+                if len(by_cell[(slot, channel)]) != 1:
+                    return False
+                for other_channel in channels:
+                    if other_channel == channel:
+                        continue
+                    for other in by_cell.get((slot, other_channel), ()):
+                        endpoints = endpoint_memo.get(other)
+                        if endpoints is None:
+                            endpoints = other.endpoints(topology)
+                            endpoint_memo[other] = endpoints
+                        if endpoints[0] in mine or endpoints[1] in mine:
+                            return False
+        return True
 
 
 class ScheduleConflictError(RuntimeError):

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.manager import HarpNetwork
+from repro.core.partition import Partition
 from repro.net.slotframe import SlotframeConfig
 from repro.net.tasks import e2e_task_per_node
 from repro.net.topology import Direction, TreeTopology, balanced_tree_with_layers
+from repro.packing.geometry import PlacedRect
 
 
 @pytest.fixture
@@ -123,6 +125,34 @@ class TestRejection:
             harp.tables[Direction.UP].component(1, 2).n_slots
             == before_comp.n_slots
         )
+        harp.validate()
+
+    def test_rollback_after_a_set_restores_both_indexes(
+        self, tree, monkeypatch
+    ):
+        """A gateway strategy that moves partitions before giving up:
+        the rollback must restore the per-owner index as well as the
+        table, or ``of_node`` keeps serving the abandoned regions."""
+        harp = make_harp(tree, num_slots=24)
+        adjuster = harp.adjuster
+        partitions = harp.partitions
+        before = {node: partitions.of_node(node) for node in tree.nodes}
+
+        def relocate_then_fail(direction, outcome, trigger_layer, component):
+            moved = partitions.require(1, 2, direction)
+            partitions.set(moved.moved_to(PlacedRect(20, 9, 1, 1)))
+            partitions.set(Partition(4, 2, direction, PlacedRect(21, 9, 1, 1)))
+            return False
+
+        monkeypatch.setattr(adjuster, "_gateway_relocate", relocate_then_fail)
+        monkeypatch.setattr(
+            adjuster, "_gateway_sequential", lambda *args: False
+        )
+        outcome = adjuster.request_component_increase(
+            1, 2, Direction.UP, 1000
+        )
+        assert outcome.case == "rejected"
+        assert {node: partitions.of_node(node) for node in tree.nodes} == before
         harp.validate()
 
 

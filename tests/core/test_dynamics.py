@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.dynamics import TopologyManager
 from repro.core.manager import HarpNetwork
-from repro.net.slotframe import SlotframeConfig
+from repro.core.partition import Partition, PartitionIsolationError
+from repro.net.slotframe import Cell, ScheduleConflictError, SlotframeConfig
 from repro.net.tasks import Task, e2e_task_per_node
 from repro.net.topology import (
     Direction,
@@ -15,6 +16,7 @@ from repro.net.topology import (
     TreeTopology,
     layered_random_tree,
 )
+from repro.packing.geometry import PlacedRect
 
 
 @pytest.fixture
@@ -157,6 +159,141 @@ class TestReparent:
         assert mgr.detach(4).success
         harp.validate()
         assert mgr.reparent(9, 1).success
+        harp.validate()
+
+
+def _spy_audits(monkeypatch, harp):
+    """Log calls to the whole-network audit and the re-bootstrap, and
+    capture what the scoped audit raises."""
+    log, caught = [], []
+    for name in ("validate", "rebootstrap"):
+        original = getattr(harp, name)
+
+        def spy(original=original, name=name):
+            log.append(name)
+            return original()
+
+        monkeypatch.setattr(harp, name, spy)
+    scoped = harp.validate_changes
+
+    def scoped_spy():
+        try:
+            scoped()
+        except Exception as error:
+            caught.append(error)
+            raise
+
+    monkeypatch.setattr(harp, "validate_changes", scoped_spy)
+    return log, caught
+
+
+def _plant_during_op(monkeypatch, mgr, plant):
+    """Run ``plant`` inside the next topology op, after reconciliation
+    and before the audit."""
+    original = mgr._reconcile_managers
+
+    def planted(report, dirty=None):
+        original(report, dirty)
+        plant()
+
+    monkeypatch.setattr(mgr, "_reconcile_managers", planted)
+
+
+class TestScopedAudit:
+    """The per-op audit certifies only what changed since the last
+    certificate; planted faults must still reach the re-bootstrap."""
+
+    def test_first_op_audits_whole_network(self, harp, monkeypatch):
+        log, _ = _spy_audits(monkeypatch, harp)
+        report = TopologyManager(harp).detach(6)
+        assert not report.rebootstrapped
+        assert log == ["validate"]  # nothing was being recorded yet
+
+    def test_later_ops_skip_whole_network_audit(self, harp, monkeypatch):
+        mgr = TopologyManager(harp)
+        harp.validate()
+        log, caught = _spy_audits(monkeypatch, harp)
+        assert not mgr.detach(6).rebootstrapped
+        assert not mgr.reparent(5, 1).rebootstrapped
+        assert log == [] and caught == []
+        harp.validate()
+
+    def test_catches_sibling_overlap(self, harp, monkeypatch):
+        mgr = TopologyManager(harp)
+        harp.validate()
+        log, caught = _spy_audits(monkeypatch, harp)
+        sibling = harp.partitions.require(1, 2, Direction.UP)
+        _plant_during_op(monkeypatch, mgr, lambda: harp.partitions.set(
+            Partition(2, 2, Direction.UP, sibling.region)
+        ))
+        report = mgr.detach(6)
+        assert report.rebootstrapped
+        assert log == ["rebootstrap", "validate"]
+        assert isinstance(caught[0], PartitionIsolationError)
+        assert "overlap" in str(caught[0])
+        harp.validate()
+
+    def test_catches_child_escaping_parent(self, harp, monkeypatch):
+        mgr = TopologyManager(harp)
+        harp.validate()
+        log, caught = _spy_audits(monkeypatch, harp)
+        parent = harp.partitions.require(0, 2, Direction.UP).region
+        outside = PlacedRect(parent.x2, 8, 3, 1)
+        _plant_during_op(monkeypatch, mgr, lambda: harp.partitions.set(
+            Partition(2, 2, Direction.UP, outside)
+        ))
+        report = mgr.detach(6)
+        assert report.rebootstrapped
+        assert log == ["rebootstrap", "validate"]
+        assert isinstance(caught[0], PartitionIsolationError)
+        assert "escapes" in str(caught[0])
+        harp.validate()
+
+    def test_catches_node_active_twice_in_a_slot(self, harp, monkeypatch):
+        mgr = TopologyManager(harp)
+        harp.validate()
+        log, caught = _spy_audits(monkeypatch, harp)
+
+        def plant():
+            # Node 1 receives on both of these links: a second cell in
+            # the slot of (4, up)'s first cell, on another channel.
+            slot, channel = harp.schedule.cells_of(LinkRef(4, Direction.UP))[0]
+            harp.schedule.assign(
+                Cell(slot, channel + 5), LinkRef(3, Direction.UP)
+            )
+
+        _plant_during_op(monkeypatch, mgr, plant)
+        report = mgr.detach(6)
+        assert report.rebootstrapped
+        assert log == ["rebootstrap", "validate"]
+        assert isinstance(caught[0], ScheduleConflictError)
+        assert caught[0].report.node_conflicts
+        harp.validate()
+
+    def test_rate_change_collision_caught_by_next_detach(
+        self, harp, monkeypatch
+    ):
+        mgr = TopologyManager(harp)
+        harp.validate()
+        log, caught = _spy_audits(monkeypatch, harp)
+        original = harp.request_rate_change
+
+        def planted_rate_change(task_id, new_rate):
+            report = original(task_id, new_rate)
+            cell = harp.schedule.cells_of(LinkRef(6, Direction.UP))[0]
+            harp.schedule.assign(cell, LinkRef(3, Direction.DOWN))
+            return report
+
+        monkeypatch.setattr(harp, "request_rate_change", planted_rate_change)
+        assert mgr.apply_event("rate_change", 6, rate=2.0).success
+        assert log == []  # a rate change certifies nothing by itself
+        # Node 5 hangs under node 2: the detach never reschedules the
+        # links the collision was planted on.
+        report = mgr.detach(5)
+        assert report.rebootstrapped
+        assert log == ["rebootstrap", "validate"]
+        assert isinstance(caught[0], ScheduleConflictError)
+        assert caught[0].report.cell_conflicts
         harp.validate()
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import link_sched
 from repro.core.allocation import allocate_partitions
 from repro.core.interface_gen import generate_interfaces
 from repro.core.link_sched import (
@@ -41,6 +42,43 @@ class TestPartitionCells:
         cells = partition_cells(part, config, wrap_slots=40)
         assert [c.slot for c in cells] == [39, 0, 1]
 
+    @pytest.mark.parametrize("wrap_slots", [None, 40])
+    def test_limit_is_a_prefix(self, config, wrap_slots):
+        part = Partition(1, 1, Direction.UP, PlacedRect(36, 2, 7, 3))
+        full = partition_cells(part, config, wrap_slots)
+        for limit in range(len(full) + 3):
+            assert partition_cells(part, config, wrap_slots, limit) == (
+                full[:limit]
+            )
+
+    @pytest.mark.parametrize("wrap_slots", [None, 40])
+    @pytest.mark.parametrize("interleave", [False, True])
+    @pytest.mark.parametrize("distribute_idle", [False, True])
+    def test_assignment_unchanged_by_prefix_enumeration(
+        self, tree, config, monkeypatch, wrap_slots, interleave,
+        distribute_idle,
+    ):
+        """Handing out cells from the enumerated prefix gives the same
+        assignment as enumerating the whole partition."""
+        part = Partition(0, 1, Direction.UP, PlacedRect(36, 2, 7, 3))
+        demands = {1: 4, 2: 3}
+
+        def assign():
+            return schedule_node_links(
+                tree, 0, Direction.UP, part, demands, config,
+                id_priority(), wrap_slots, distribute_idle, interleave,
+            )
+
+        prefix = assign()
+        whole = link_sched.partition_cells
+        monkeypatch.setattr(
+            link_sched, "partition_cells",
+            lambda partition, config, wrap_slots=None, limit=None: whole(
+                partition, config, wrap_slots
+            ),
+        )
+        assert assign() == prefix
+
 
 class TestPriorities:
     def test_rate_monotonic_orders_by_period(self, tree):
@@ -52,6 +90,24 @@ class TestPriorities:
         fast = priority(tree, LinkRef(2, Direction.UP))
         slow = priority(tree, LinkRef(1, Direction.UP))
         assert fast < slow  # higher rate = shorter period = earlier cells
+
+    def test_rate_monotonic_deltas_match_fresh_build(self, tree):
+        tasks = TaskSet([
+            Task(task_id=1, source=1, rate=1.0),
+            Task(task_id=3, source=3, rate=4.0),
+            Task(task_id=2, source=2, rate=2.0),
+        ])
+        priority = rate_monotonic_priority(tasks)
+        priority(tree, LinkRef(1, Direction.UP))  # build the table
+        # Task 3 held link 1's unique minimum; slowing it down forces a
+        # recompute from what is left on the link.
+        slower = tasks.with_rate(3, 0.5)
+        priority.change_rate(tree, tasks, slower, 3)
+        moved = tree.with_reparented(3, 2)
+        priority.apply_change("reparent", 3, tree, moved, slower, slower)
+        fresh = rate_monotonic_priority(slower)
+        for link in moved.links():
+            assert priority(moved, link) == fresh(moved, link)
 
     def test_edf_priority(self, tree):
         priority = edf_priority({1: 5.0, 2: 1.0})
