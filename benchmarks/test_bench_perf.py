@@ -213,58 +213,6 @@ def test_storm_10k_speedup_vs_committed_baseline():
     )
 
 
-def test_parallel_static_speedup_at_10k():
-    """The forked static phase must hit >=2x vs serial at N=10000.
-
-    Hardware-normalized by construction: serial and parallel arms run
-    back to back on the same box, same workload, byte-identical
-    output — the ratio is pure code.  Needs real cores to mean
-    anything, so the gate only runs where the fan-out can physically
-    win; the nightly ladder provides that hardware.
-    """
-    import os as _os
-
-    from repro.core.parallel_gen import fork_available
-
-    if not fork_available():
-        pytest.skip("fork start method absent")
-    cores = _os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(f"needs >=4 cores for the 2x floor (have {cores})")
-    from repro.bench import bench_scale_static
-
-    # Best of two per arm: shared-box throttling hits single runs.
-    serial = min(
-        bench_scale_static(10000)["seconds"] for _ in range(2)
-    )
-    runs = [
-        bench_scale_static(10000, parallel_static=True) for _ in range(2)
-    ]
-    assert all(r["parallel"]["mode"] == "parallel" for r in runs)
-    parallel = min(r["seconds"] for r in runs)
-    speedup = serial / parallel
-    assert speedup >= 2.0, (
-        f"parallel static at N=10000: {speedup:.2f}x "
-        f"({serial:.3f}s serial vs {parallel:.3f}s on {cores} cores) "
-        "— below the 2x floor"
-    )
-
-
-def test_parallel_static_arm_identity_smoke():
-    """Bench-level identity smoke on any box: the parallel arm's
-    allocation produces the same cell count and cache miss profile as
-    serial (full byte certification lives in the property suite)."""
-    from repro.bench import bench_scale_static
-    from repro.core.parallel_gen import fork_available
-
-    serial = bench_scale_static(1000)
-    if not fork_available():
-        pytest.skip("fork start method absent")
-    parallel = bench_scale_static(1000, parallel_static=2)
-    assert parallel["cells"] == serial["cells"]
-    assert parallel["cache"]["misses"] <= serial["cache"]["misses"]
-
-
 def test_engine_array_core_matches_object_core():
     """Bench-level identity smoke: the struct-of-arrays core must
     reproduce the object core's outcome exactly (the full bitwise

@@ -32,6 +32,7 @@ are hardware-independent.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import random
@@ -186,9 +187,9 @@ SCALE_DEPTH = 8
 #: The 10000/100000 entries were added by the incremental-demand /
 #: array-core PR, measured on *its* reference machine against the
 #: pre-PR code: the storm figure is the naive demand pipeline before
-#: the exact integer-scaled accumulation landed (the
-#: ``incremental=False`` flag alone no longer reproduces it — the
-#: summation rewrite sped the naive path up too), and the engine
+#: the exact integer-scaled accumulation landed (the naive
+#: ``HarpNetwork(incremental_demand=False)`` path alone no longer
+#: reproduces it — the summation rewrite sped it up too), and the engine
 #: figures are the object core's best-of-several peak (re-measurable
 #: via ``bench_scale_engine(n, array_core=False)`` — peak, because a
 #: shared box throttles individual runs far more often than it speeds
@@ -215,66 +216,58 @@ def _scale_network(n: int, seed: int = 7, rate: float = 1.0):
     return topology, tasks, config
 
 
-def bench_scale_static(
-    n: int, seed: int = 7, parallel_static=False
-) -> Dict[str, object]:
+def _start_clock() -> float:
+    """Collect pending garbage, then read the clock.  A full collection
+    of the caller's heap (a test runner's, or the set-up's) otherwise
+    lands inside whichever short timed region happens to cross the
+    collector's threshold, and at N=100 it costs as much as the work."""
+    gc.collect()
+    return time.perf_counter()
+
+
+def bench_scale_static(n: int, seed: int = 7) -> Dict[str, object]:
     """Static allocation + invariant validation wall time at ``n`` nodes.
 
-    ``parallel_static`` selects the forked static-phase fan-out
-    (``True`` = one worker per CPU, int = explicit worker count) —
-    byte-identical tables, so serial and parallel arms time the same
-    semantic work.  The returned ``cache`` block carries the
-    composition-cache counters of the run; a parallel run adds the
-    ``parallel`` stats block (mode, workers, cut depth, units).
+    The returned ``cache`` block carries the composition-cache counters
+    of the run.
     """
     topology, tasks, config = _scale_network(n, seed)
-    start = time.perf_counter()
+    start = _start_clock()
     harp = HarpNetwork(
         topology, tasks, config, case1_slack=1, distribute_slack=True,
-        parallel_static=parallel_static,
     )
     harp.allocate()
     harp.validate()
     elapsed = time.perf_counter() - start
-    stats = harp.stats
-    out: Dict[str, object] = {
+    return {
         "seconds": elapsed,
         "nodes_per_sec": n / elapsed,
         "cells": float(harp.schedule.total_assignments),
-        "cache": stats["composition_cache"],
+        "cache": harp.stats["composition_cache"],
     }
-    if "parallel_static" in stats:
-        out["parallel"] = stats["parallel_static"]
-    return out
 
 
-def bench_scale_storm(
-    n: int, ops: int = 12, seed: int = 7, incremental: bool = True
-) -> Dict[str, float]:
+def bench_scale_storm(n: int, ops: int = 12, seed: int = 7) -> Dict[str, float]:
     """A scripted dynamics storm: rate changes, joins, parent switches
     and leaves interleaved on one allocated network.
 
     The op script is a pure function of (n, ops, seed) and of the
     network state it evolves, so pre- and post-optimization code does
     the identical semantic work — the numbers compare like for like.
-    ``incremental=False`` is the ablation: naive full-recompute demand
-    maintenance instead of the :class:`~repro.core.demand.DemandLedger`
-    (byte-identical results, per the equivalence property suite).
     """
     from .core.dynamics import TopologyManager
 
     topology, tasks, config = _scale_network(n, seed)
     harp = HarpNetwork(
         topology, tasks, config, case1_slack=1, distribute_slack=True,
-        incremental_demand=incremental,
     )
     harp.allocate()
-    manager = TopologyManager(harp, incremental=incremental)
+    manager = TopologyManager(harp)
     rng = random.Random(seed * 1000 + n)
     next_id = max(harp.topology.nodes) + 1
     succeeded = 0
 
-    start = time.perf_counter()
+    start = _start_clock()
     for i in range(ops):
         kind = ("rate", "attach", "reparent", "detach")[i % 4]
         topo = harp.topology
@@ -344,7 +337,7 @@ def bench_scale_engine(
         array_core=array_core,
     )
     slots = slotframes * config.num_slots
-    start = time.perf_counter()
+    start = _start_clock()
     sim.run_slots(slots)
     elapsed = time.perf_counter() - start
     return {
@@ -355,9 +348,7 @@ def bench_scale_engine(
     }
 
 
-#: The default scale-suite arms, in run order.  ``static_parallel`` is
-#: opt-in (via ``parallel_static``): it re-runs the static phase on the
-#: forked worker pool, which only means something on a multi-core box.
+#: The default scale-suite arms, in run order.
 SCALE_ARMS = ("static", "storm", "engine")
 
 
@@ -368,7 +359,6 @@ def run_scale_benchmarks(
     seed: int = 7,
     array_core: bool = False,
     arms: Optional[Sequence[str]] = None,
-    parallel_static=False,
 ) -> Dict[str, object]:
     """Run the scaling suite and assemble its report section.
 
@@ -381,11 +371,6 @@ def run_scale_benchmarks(
     pre-optimization :data:`SCALE_BASELINE` where that was measured.
     ``array_core=True`` runs the engine burst on the struct-of-arrays
     core — required for the N=100000 rung to finish in nightly budget.
-    ``parallel_static`` adds a ``static_parallel`` point per size (the
-    same allocation on the forked worker pool, byte-identical tables)
-    plus a ``static_parallel`` speedup entry when the serial arm also
-    ran — the serial-vs-parallel comparison is same-box, so it is
-    hardware-normalized by construction.
     """
     chosen = tuple(arms) if arms is not None else SCALE_ARMS
     unknown = set(chosen) - set(SCALE_ARMS)
@@ -399,10 +384,6 @@ def run_scale_benchmarks(
         point: Dict[str, Dict[str, float]] = {}
         if "static" in chosen:
             point["static"] = bench_scale_static(n, seed)
-        if parallel_static:
-            point["static_parallel"] = bench_scale_static(
-                n, seed, parallel_static=parallel_static
-            )
         if "storm" in chosen:
             point["storm"] = bench_scale_storm(n, storm_ops, seed)
         if "engine" in chosen:
@@ -415,11 +396,6 @@ def run_scale_benchmarks(
         if base_static and "static" in point:
             point_speedups["static"] = (
                 base_static / point["static"]["seconds"]
-            )
-        if "static" in point and "static_parallel" in point:
-            point_speedups["static_parallel"] = (
-                point["static"]["seconds"]
-                / point["static_parallel"]["seconds"]
             )
         base_storm = SCALE_BASELINE["storm_seconds"].get(str(n))
         if base_storm and "storm" in point:
@@ -440,11 +416,6 @@ def run_scale_benchmarks(
         "seed": seed,
         "array_core": array_core,
         "arms": list(chosen),
-        "parallel_static": (
-            int(parallel_static)
-            if not isinstance(parallel_static, bool)
-            else parallel_static
-        ),
         "points": points,
         "baseline": {k: dict(v) for k, v in SCALE_BASELINE.items()},
         "speedup_vs_baseline": speedups,
@@ -455,14 +426,12 @@ def render_scale_report(scale: Dict[str, object]) -> str:
     """Human-readable scaling table.
 
     Tolerates missing arms (the suite only runs what ``arms`` asked
-    for) and appends per-size composition-cache counters plus the
-    parallel-static arm when those ran.
+    for) and appends per-size composition-cache counters when the
+    static arm ran.
     """
     lines = [
-        "   nodes   static s   par-stat s     storm s    storm op/s"
-        "   engine slots/s",
-        "  ------  ----------  ----------  ----------  -----------"
-        "  ---------------",
+        "   nodes   static s     storm s    storm op/s   engine slots/s",
+        "  ------  ----------  ----------  -----------  ---------------",
     ]
 
     def _num(point, arm, key, width, fmt):
@@ -476,41 +445,26 @@ def render_scale_report(scale: Dict[str, object]) -> str:
         lines.append(
             f"  {n:>6}  "
             f"{_num(p, 'static', 'seconds', 10, '.3f')}  "
-            f"{_num(p, 'static_parallel', 'seconds', 10, '.3f')}  "
             f"{_num(p, 'storm', 'seconds', 10, '.3f')}  "
             f"{_num(p, 'storm', 'ops_per_sec', 11, '.2f')}  "
             f"{_num(p, 'engine', 'slots_per_sec', 15, ',.0f')}"
         )
     cache_lines = []
     for n in scale["sizes"]:
-        p = scale["points"][str(n)]
-        for arm in ("static", "static_parallel"):
-            sub = p.get(arm)
-            cache = (sub or {}).get("cache")
-            if not cache:
-                continue
-            extra = ""
-            par = sub.get("parallel")
-            if par:
-                extra = (
-                    f", {par['mode']} x{par['workers']}"
-                    f" cut={par['cut_depth']} units={par['units']}"
-                )
+        cache = (scale["points"][str(n)].get("static") or {}).get("cache")
+        if cache:
             cache_lines.append(
-                f"  N={n:<6} {arm:<15} "
-                f"hits={cache['hits']} misses={cache['misses']} "
-                f"delta_merges={cache['delta_merges']}{extra}"
+                f"  N={n:<6} hits={cache['hits']} misses={cache['misses']}"
             )
     if cache_lines:
         lines.append("")
-        lines.append("composition cache (per static arm):")
+        lines.append("composition cache (static arm):")
         lines.extend(cache_lines)
     speedups = scale.get("speedup_vs_baseline") or {}
     if speedups:
         lines.append("")
         lines.append(
-            "speedup vs pre-optimization baseline (same scenarios;"
-            " static_parallel = serial/parallel, same box):"
+            "speedup vs pre-optimization baseline (same scenarios):"
         )
         for n, per in sorted(speedups.items(), key=lambda kv: int(kv[0])):
             parts = ", ".join(
@@ -635,14 +589,7 @@ def profile_scenario(
     scenario: str, size: int = 1000, top: int = 25, seed: int = 7
 ) -> str:
     """cProfile one scale scenario; returns the top-``top`` cumulative
-    hot spots as text (the ``repro profile`` command).
-
-    For the ``static`` scenario the cProfile listing is preceded by a
-    per-wave breakdown of the bottom-up static phase: one row per tree
-    depth with nodes composed, compositions run, compose vs Case-1 pack
-    time and cache hit/miss counts — the view that tells you which
-    waves the parallel fan-out can actually win on.
-    """
+    hot spots as text (the ``repro profile`` command)."""
     import cProfile
     import io
     import pstats
@@ -656,23 +603,6 @@ def profile_scenario(
         raise ValueError(
             f"unknown scenario {scenario!r}; pick one of {sorted(runners)}"
         )
-    prefix = ""
-    if scenario == "static":
-        from .core.parallel_gen import render_wave_profile, static_wave_profile
-
-        topology, tasks, config = _scale_network(size, seed)
-        rows = static_wave_profile(
-            topology,
-            tasks.link_demands(topology),
-            config.num_channels,
-            case1_slack=1,
-            cache=CompositionCache(),
-        )
-        prefix = (
-            f"static waves at N={size} (deepest first, both directions):\n"
-            + render_wave_profile(rows)
-            + "\n\n"
-        )
     profiler = cProfile.Profile()
     profiler.enable()
     runners[scenario]()
@@ -680,7 +610,7 @@ def profile_scenario(
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
-    return prefix + stream.getvalue()
+    return stream.getvalue()
 
 
 def run_benchmarks(

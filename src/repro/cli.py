@@ -350,7 +350,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         pdr=args.pdr,
         optional_every=args.optional_every,
         workload=workload,
-        parallel_static=args.parallel_static,
     )
     if workload is not None:
         rate_events = sum(len(s.workload) for s in scenarios)
@@ -626,15 +625,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.scale:
         sizes = args.sizes or [100, 1000, 5000, 10000]
-        # --parallel-static: absent -> off, bare flag (const 0) -> one
-        # worker per CPU, an explicit int -> that many workers.
-        parallel = (
-            False if args.parallel_static is None
-            else (True if args.parallel_static == 0 else args.parallel_static)
-        )
         scale = run_scale_benchmarks(
             sizes=sizes, seed=args.seed, array_core=args.array_core,
-            arms=args.arms, parallel_static=parallel,
+            arms=args.arms,
         )
         print(render_scale_report(scale))
         if args.out is not None:
@@ -778,13 +771,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="restrict which --scale arms run (default: all three); "
         "lets a smoke job pay for exactly the arm it gates",
     )
-    p.add_argument(
-        "--parallel-static", type=int, nargs="?", const=0, default=None,
-        metavar="WORKERS",
-        help="add a parallel static arm to --scale: fork-based "
-        "worker-pool static phase, byte-identical tables (bare flag = "
-        "one worker per CPU, an int = that many workers)",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -881,13 +867,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument(
         "--checkpoint-dir", default=None,
         help="durable checkpoint directory (default: ephemeral temp dir)",
-    )
-    p.add_argument(
-        "--parallel-static", type=int, nargs="?", const=-1, default=0,
-        metavar="WORKERS",
-        help="run each tree's static phase on the forked worker pool "
-        "(bare flag = one worker per CPU, an int = that many workers; "
-        "byte-identical tables, so campaign results are unchanged)",
     )
     p.add_argument(
         "--chaos", action="store_true",

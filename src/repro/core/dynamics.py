@@ -28,7 +28,7 @@ and reports it, so callers can compare incremental vs full-rebuild cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..net.tasks import Task, TaskSet, demands_by_parent, demands_for_parent
 from ..net.topology import Direction, LinkRef, TreeTopology
@@ -80,25 +80,19 @@ class _IncrementalFailure(RuntimeError):
 class TopologyManager:
     """Applies topology changes to a live :class:`HarpNetwork`.
 
-    ``incremental`` selects O(affected) demand maintenance through the
-    network's :class:`~repro.core.demand.DemandLedger` plus dirty-set
+    The manager follows the network's demand bookkeeping.  A network
+    that keeps a :class:`~repro.core.demand.DemandLedger`
+    (``HarpNetwork(incremental_demand=True)``, the default) gets
+    O(affected) demand and rate-monotonic maintenance plus dirty-set
     reconciliation (only managers whose demands or schedules an op could
-    have touched are re-checked).  Defaults to whether the network keeps
-    a ledger; ``False`` forces the naive full-recompute/full-scan path,
-    kept as the equivalence oracle — both paths are certified to yield
-    byte-identical demands and schedules by the property suite and the
-    replayed fuzz corpus.
+    have touched are re-checked).  A network without one gets the naive
+    full-recompute/full-scan path, kept as the equivalence oracle — both
+    paths are certified to yield byte-identical demands and schedules by
+    the property suite and the replayed fuzz corpus.
     """
 
-    def __init__(
-        self, harp: HarpNetwork, incremental: Optional[bool] = None
-    ) -> None:
+    def __init__(self, harp: HarpNetwork) -> None:
         self.harp = harp
-        self.incremental = (
-            incremental
-            if incremental is not None
-            else harp.demand_ledger is not None
-        )
 
     # ------------------------------------------------------------------
     # public operations
@@ -204,24 +198,23 @@ class TopologyManager:
         harp.plane.topology = new_topology
         harp.adjuster.topology = new_topology
         harp.task_set = new_tasks
-        if self.incremental and isinstance(harp.priority, RateMonotonic):
+        ledger = harp.demand_ledger
+        if ledger is not None and isinstance(harp.priority, RateMonotonic):
             harp.priority.apply_change(
                 kind, node, old_topology, new_topology, old_tasks, new_tasks
             )
         else:
             harp.priority = rate_monotonic_priority(new_tasks)
-        if self.incremental and harp.demand_ledger is not None:
+        if ledger is not None:
             try:
-                harp.demand_ledger.apply_change(
+                ledger.apply_change(
                     kind, node, old_topology, new_topology,
                     old_tasks, new_tasks,
                 )
             except LedgerError:
-                harp.demand_ledger.rebuild(new_topology, new_tasks)
-            harp.link_demands = dict(harp.demand_ledger.demands)
+                ledger.rebuild(new_topology, new_tasks)
+            harp.link_demands = dict(ledger.demands)
         else:
-            if harp.demand_ledger is not None:
-                harp.demand_ledger.rebuild(new_topology, new_tasks)
             harp.link_demands = dict(new_tasks.link_demands(new_topology))
 
         # Managers whose demands or schedules this op can have touched:
@@ -229,7 +222,7 @@ class TopologyManager:
         # adjustment involved.  Only these need reconciliation — all
         # others were left fully covered by the previous op's step 5.
         dirty: Optional[Set[int]] = None
-        if self.incremental:
+        if ledger is not None:
             dirty = set(moved)
             dirty.update(old_managers)
             if node in new_topology:

@@ -118,63 +118,39 @@ def generate_interfaces(
             demands = demands_for_parent(
                 topology, link_demands, node, direction
             )
-        generate_node_interface(
-            topology, table, node, demands, num_channels, case1_slack, cache
-        )
+        interface = ResourceInterface(owner=node, direction=direction)
+        own_layer = topology.node_layer(node)
+
+        # Case 1: the node's own child links share the node, hence one
+        # channel row of the accumulated width.
+        total = sum(demands.values())
+        if total > 0:
+            interface.add(
+                ResourceComponent(
+                    node, own_layer,
+                    n_slots=total + case1_slack, n_channels=1,
+                )
+            )
+
+        # Case 2: compose children's components per deeper layer.
+        deepest = topology.subtree_max_layer(node)
+        for layer in range(own_layer + 1, deepest + 1):
+            child_rects = _child_component_rects(topology, table, node, layer)
+            if not child_rects:
+                continue
+            composed = compose_components(child_rects, num_channels, cache)
+            interface.add(
+                ResourceComponent(
+                    node, layer, composed.n_slots, composed.n_channels
+                )
+            )
+            table.layouts[(node, layer)] = composed.layout
+
+        if interface.components:
+            table.interfaces[node] = interface
+            if node != topology.gateway_id:
+                table.post_intf_messages += 1
     return table
-
-
-def generate_node_interface(
-    topology: TreeTopology,
-    table: InterfaceTable,
-    node: int,
-    demands: Mapping[int, int],
-    num_channels: int,
-    case1_slack: int = 0,
-    cache: Optional[CompositionCache] = None,
-) -> None:
-    """Derive one non-leaf node's interface (Case 1 + Case 2) and insert
-    it into ``table``, assuming every deeper node in its subtree is
-    already there.
-
-    Extracted from :func:`generate_interfaces` so the parallel static
-    phase (:mod:`repro.core.parallel_gen`) finishes the top-of-tree
-    nodes with *the same code object* the serial pass runs — the dict
-    insertion orders (components add-order, interfaces and layouts
-    key order) are part of the byte-identity contract.
-    """
-    interface = ResourceInterface(owner=node, direction=table.direction)
-    own_layer = topology.node_layer(node)
-
-    # Case 1: the node's own child links share the node, hence one
-    # channel row of the accumulated width.
-    total = sum(demands.values())
-    if total > 0:
-        interface.add(
-            ResourceComponent(
-                node, own_layer,
-                n_slots=total + case1_slack, n_channels=1,
-            )
-        )
-
-    # Case 2: compose children's components per deeper layer.
-    deepest = topology.subtree_max_layer(node)
-    for layer in range(own_layer + 1, deepest + 1):
-        child_rects = _child_component_rects(topology, table, node, layer)
-        if not child_rects:
-            continue
-        composed = compose_components(child_rects, num_channels, cache)
-        interface.add(
-            ResourceComponent(
-                node, layer, composed.n_slots, composed.n_channels
-            )
-        )
-        table.layouts[(node, layer)] = composed.layout
-
-    if interface.components:
-        table.interfaces[node] = interface
-        if node != topology.gateway_id:
-            table.post_intf_messages += 1
 
 
 def recompose_at(

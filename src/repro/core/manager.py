@@ -18,9 +18,8 @@ partition table, schedule and management plane — and exposes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..net.protocol.transport import ManagementPlane
 from ..net.slotframe import ConflictReport, Schedule, SlotframeConfig
@@ -35,11 +34,6 @@ from .allocation import (
 )
 from .demand import DemandLedger
 from .interface_gen import InterfaceTable, generate_interfaces
-from .parallel_gen import (
-    ParallelStaticStats,
-    generate_static_tables,
-    resolve_workers,
-)
 from .link_sched import (
     PriorityFn,
     RateMonotonic,
@@ -144,20 +138,9 @@ class HarpNetwork:
         dynamics op) instead of recomputing them from scratch.  Both
         paths follow the exact summation-order contract of
         :mod:`repro.net.tasks`, so results are byte-identical; the
-        naive path (``False``) is kept as the equivalence oracle.
-    parallel_static:
-        Fan the static phase's bottom-up interface generation out
-        across a forked worker pool (:mod:`repro.core.parallel_gen`):
-        ``True`` uses one worker per CPU, an int ``>= 2`` that many
-        workers, ``False`` (default) stays serial.  The resulting
-        tables are byte-identical to the serial pass; small trees fall
-        back to serial automatically (zero overhead), and a worker
-        crash falls back to serial without touching table or cache.
-        ``parallel_cut_depth`` pins the tree-cut depth (default: the
-        work-balance heuristic).  :meth:`rebootstrap` — and therefore
-        the :class:`~repro.core.dynamics.TopologyManager` fallback
-        path — inherits the setting.  What the pass actually did is
-        reported via :attr:`stats`.
+        naive path (``False``) is kept as the equivalence oracle.  A
+        :class:`~repro.core.dynamics.TopologyManager` over this network
+        follows the same choice.
     """
 
     def __init__(
@@ -175,8 +158,6 @@ class HarpNetwork:
         compliant_ordering: bool = True,
         composition_cache: Optional[CompositionCache] = None,
         incremental_demand: bool = True,
-        parallel_static: Union[bool, int] = False,
-        parallel_cut_depth: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.task_set = task_set
@@ -193,9 +174,6 @@ class HarpNetwork:
             composition_cache if composition_cache is not None
             else CompositionCache()
         )
-        self.parallel_static = parallel_static
-        self.parallel_cut_depth = parallel_cut_depth
-        self.parallel_stats: Optional[ParallelStaticStats] = None
 
         self.demand_ledger: Optional[DemandLedger] = (
             DemandLedger(topology, task_set) if incremental_demand else None
@@ -222,34 +200,17 @@ class HarpNetwork:
         """Run interface generation, partition allocation and distributed
         schedule generation.  Must be called before anything else."""
         report = StaticPhaseReport()
-        workers = resolve_workers(self.parallel_static)
-        if workers >= 2:
-            tables, self.parallel_stats = generate_static_tables(
+        for direction in (Direction.UP, Direction.DOWN):
+            table = generate_interfaces(
                 self.topology,
                 self.link_demands,
+                direction,
                 self.config.num_channels,
                 self.case1_slack,
-                self.composition_cache,
-                workers,
-                cut_depth=self.parallel_cut_depth,
+                cache=self.composition_cache,
             )
-            for direction in (Direction.UP, Direction.DOWN):
-                self.tables[direction] = tables[direction]
-                report.post_intf_messages += (
-                    tables[direction].post_intf_messages
-                )
-        else:
-            for direction in (Direction.UP, Direction.DOWN):
-                table = generate_interfaces(
-                    self.topology,
-                    self.link_demands,
-                    direction,
-                    self.config.num_channels,
-                    self.case1_slack,
-                    cache=self.composition_cache,
-                )
-                self.tables[direction] = table
-                report.post_intf_messages += table.post_intf_messages
+            self.tables[direction] = table
+            report.post_intf_messages += table.post_intf_messages
 
         self.partitions, report.allocation = allocate_partitions(
             self.topology, self.tables, self.config, self.allow_overflow,
@@ -293,16 +254,9 @@ class HarpNetwork:
     @property
     def stats(self) -> Dict[str, object]:
         """Observability counters: composition-cache traffic
-        (hits/misses/entries/delta merges) and — when the parallel
-        static phase ran — what it did (mode, workers, cut depth, work
-        units, fallbacks).  Counters only; never part of any result
+        (hits/misses/entries).  Counters only; never part of any result
         contract."""
-        doc: Dict[str, object] = {
-            "composition_cache": self.composition_cache.stats(),
-        }
-        if self.parallel_stats is not None:
-            doc["parallel_static"] = self.parallel_stats.to_dict()
-        return doc
+        return {"composition_cache": self.composition_cache.stats()}
 
     @property
     def adjuster(self) -> PartitionAdjuster:

@@ -80,12 +80,6 @@ class TreeScenario:
         ``f``, every triple at ``f`` sets that task's generation rate.
         Plain data (fingerprinted, checkpoint-safe: progress snapshots
         carry per-task rates, so a resume needs no re-application).
-    parallel_static:
-        Static-phase worker fan-out inside this tree's allocation
-        (:mod:`repro.core.parallel_gen`): ``0`` serial, ``-1`` one
-        worker per CPU, ``n >= 2`` that many workers.  Excluded from
-        the fingerprint — the parallel tables are byte-identical to
-        serial, so a checkpoint taken either way stays acceptable.
     """
 
     tree_id: str
@@ -102,7 +96,6 @@ class TreeScenario:
     hang_attempts: int = 1
     hang_seconds: float = 3600.0
     workload: Tuple[Tuple[int, int, float], ...] = ()
-    parallel_static: int = 0
 
     def __post_init__(self) -> None:
         if self.num_devices < 2:
@@ -133,11 +126,10 @@ class TreeScenario:
 
     def fingerprint(self) -> str:
         """Digest over everything that affects the *result* (failure
-        hooks and ``parallel_static`` excluded: a tree that crashed on
-        attempt 1 must accept its own checkpoint on attempt 2, and the
-        parallel static phase is byte-identical to serial).  The
-        workload schedule is included only when set, so plain scenarios
-        keep their fingerprints across versions."""
+        hooks excluded: a tree that crashed on attempt 1 must accept its
+        own checkpoint on attempt 2).  The workload schedule is included
+        only when set, so plain scenarios keep their fingerprints across
+        versions."""
         doc: Dict[str, object] = {
             "tree_id": self.tree_id,
             "seed": self.seed,
@@ -174,7 +166,6 @@ def fleet_scenarios(
     pdr: float = 1.0,
     optional_every: int = 0,
     workload=None,
-    parallel_static: int = 0,
 ) -> list:
     """A seeded campaign: ``trees`` independent scenarios with distinct
     topology seeds.  ``optional_every`` marks every n-th tree sheddable
@@ -231,7 +222,6 @@ def fleet_scenarios(
             pdr=pdr,
             optional=bool(optional_every and (i + 1) % optional_every == 0),
             workload=per_tree[i] if per_tree else (),
-            parallel_static=parallel_static,
         )
         for i in range(trees)
     ]
@@ -299,10 +289,6 @@ def build_network(scenario: TreeScenario) -> HarpNetwork:
         case1_slack=1,
         distribute_slack=True,
         composition_cache=_PROCESS_CACHE,
-        parallel_static=(
-            True if scenario.parallel_static == -1
-            else scenario.parallel_static
-        ),
     )
     harp.allocate()
     harp.validate()

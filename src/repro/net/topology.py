@@ -308,11 +308,6 @@ class TreeTopology:
         """Number of nodes in the subtree rooted at ``root`` (O(1))."""
         return self._subtree_sizes[root]
 
-    def preorder_index(self, node: int) -> int:
-        """Position of ``node`` in the preorder traversal (O(1)) — the
-        deterministic tie-break the parallel static phase merges by."""
-        return self._tin[node]
-
     def subtree_max_layer(self, root: int) -> int:
         """``l(G_{V_i})``: the deepest link layer within the subtree
         (O(1) via the precomputed deepest-descendant index)."""

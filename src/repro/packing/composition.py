@@ -84,13 +84,9 @@ class CompositionCache:
     from the manager and the live agent layer.  ``max_entries`` bounds
     memory (LRU eviction); ``None`` = unbounded.
 
-    *Delta capture* supports the parallel static phase: a forked worker
-    inherits the cache copy-on-write, records every entry it stores
-    (:meth:`begin_delta_capture` / :meth:`drain_delta`) and ships the
-    plain-tuple delta back over its pipe; the parent folds it in with
-    :meth:`merge_delta`.  Entries are pure functions of their key, so a
-    merge can only add knowledge, never change a layout — the
-    ``delta_merges`` counter records how many entries actually landed.
+    One cache serves a network's static phase, every dynamic adjustment
+    and re-bootstrap; a fleet shares one per process, warmed before the
+    workers fork so each inherits the entries copy-on-write.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -101,8 +97,6 @@ class CompositionCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.delta_merges = 0
-        self._delta: Optional[List[Tuple[Tuple, Tuple]]] = None
         self._entries: "OrderedDict[Tuple, Tuple[int, int, List[Tuple[int, int]]]]" = (
             OrderedDict()
         )
@@ -122,47 +116,10 @@ class CompositionCache:
             "misses": self.misses,
             "hit_rate": self.hit_rate,
             "entries": len(self._entries),
-            "delta_merges": self.delta_merges,
         }
 
     def clear(self) -> None:
         self._entries.clear()
-
-    # -- delta capture / merge (parallel static phase) -----------------
-
-    def begin_delta_capture(self) -> None:
-        """Start recording every subsequently stored entry."""
-        self._delta = []
-
-    def drain_delta(self) -> List[Tuple[Tuple, Tuple]]:
-        """Return the entries stored since :meth:`begin_delta_capture`
-        and stop capturing.  The list is plain tuples of ints, safe to
-        send over a process pipe."""
-        delta = self._delta or []
-        self._delta = None
-        return delta
-
-    def merge_delta(self, entries: List[Tuple[Tuple, Tuple]]) -> int:
-        """Fold a worker's delta into this cache; returns how many
-        entries were new.  Existing keys are kept (same key -> same
-        value by purity, and the resident entry carries the parent's
-        LRU position)."""
-        merged = 0
-        for key, entry in entries:
-            kind, num_channels, sizes = key
-            sizes = self._interned.setdefault(sizes, sizes)
-            key = (kind, num_channels, sizes)
-            if key in self._entries:
-                continue
-            self._entries[key] = (entry[0], entry[1], list(entry[2]))
-            merged += 1
-            if (
-                self.max_entries is not None
-                and len(self._entries) > self.max_entries
-            ):
-                self._entries.popitem(last=False)
-        self.delta_merges += merged
-        return merged
 
     #: Interning pool for size-multiset tuples.  Composition keys for an
     #: unchanged subtree recur on every adjustment; sharing one tuple
@@ -203,8 +160,6 @@ class CompositionCache:
             for rect in _canonical_order(real)
         ]
         self._entries[key] = (result.n_slots, result.n_channels, positions)
-        if self._delta is not None:
-            self._delta.append((key, self._entries[key]))
         if (
             self.max_entries is not None
             and len(self._entries) > self.max_entries

@@ -64,7 +64,6 @@ from .fleet_oracle import (
 )
 from .oracles import (
     Violation,
-    check_parallel_equivalence,
     check_scenario_network,
     run_conservation,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "check_fleet_campaign",
     "check_fleet_conservation",
     "check_fleet_determinism",
-    "check_parallel_equivalence",
     "check_scenario_network",
     "diff_manager_vs_agents",
     "diff_schedulers",

@@ -39,7 +39,6 @@ from .differential import diff_manager_vs_agents, diff_schedulers
 from .generators import DynamicsOp, Scenario, generate_scenario, shrink_scenario
 from .oracles import (
     Violation,
-    check_parallel_equivalence,
     check_scenario_network,
     run_conservation,
 )
@@ -201,10 +200,6 @@ def run_case(scenario: Scenario, conservation: bool = True) -> CaseResult:
             )
 
         violations.extend(check_scenario_network(harp))
-        # Parallel-vs-serial byte identity over the fuzz corpus: once
-        # on the bootstrap state, once more after the dynamics script
-        # (cheap — it only regenerates the static tables, not per-op).
-        violations.extend(check_parallel_equivalence(harp))
 
         manager = TopologyManager(harp)
         for i, op in enumerate(scenario.ops):
@@ -229,14 +224,6 @@ def run_case(scenario: Scenario, conservation: bool = True) -> CaseResult:
                         + violation.message,
                     )
                 )
-
-        for violation in check_parallel_equivalence(harp):
-            violations.append(
-                Violation(
-                    violation.oracle,
-                    "after dynamics script: " + violation.message,
-                )
-            )
 
         if conservation:
             violations.extend(run_conservation(harp, seed=scenario.seed))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..core.audit import AUDIT_CHECKS
 from ..core.manager import HarpNetwork
@@ -166,51 +166,6 @@ def check_scenario_network(harp: HarpNetwork) -> List[Violation]:
     out.extend(check_collision_freedom(harp))
     out.extend(check_audits(harp))
     out.extend(check_rm_feasibility(harp))
-    return out
-
-
-def check_parallel_equivalence(harp: HarpNetwork) -> List[Violation]:
-    """Parallel static phase must be byte-identical to serial.
-
-    Regenerates both directions' interface tables from the network's
-    *current* topology and demands — once serially with a cold cache,
-    once through the in-process parallel driver (same wave
-    decomposition, wire encoding and merge as the forked pool, minus
-    the fork) — and compares order-sensitive digests.  Trees too
-    shallow to cut (no depth with >= 2 non-leaf subtree roots) are
-    vacuously fine: the pool would fall back to serial there anyway.
-    """
-    from ..core.interface_gen import generate_interfaces
-    from ..core.parallel_gen import (
-        choose_cut_depth,
-        generate_parallel_inprocess,
-        table_digest,
-    )
-    from ..packing.composition import CompositionCache
-
-    cut_depth = choose_cut_depth(harp.topology, workers=2, min_nodes=1)
-    if cut_depth is None:
-        return []
-    out: List[Violation] = []
-    for direction in (Direction.UP, Direction.DOWN):
-        serial = generate_interfaces(
-            harp.topology, harp.link_demands, direction,
-            harp.config.num_channels, harp.case1_slack, cache=None,
-        )
-        parallel = generate_parallel_inprocess(
-            harp.topology, harp.link_demands, direction,
-            harp.config.num_channels, harp.case1_slack,
-            CompositionCache(), cut_depth,
-        )
-        if table_digest(serial) != table_digest(parallel):
-            out.append(
-                Violation(
-                    "parallel-equivalence",
-                    f"{direction.value} static tables diverge at cut "
-                    f"depth {cut_depth}: parallel merge is not "
-                    "byte-identical to the serial pass",
-                )
-            )
     return out
 
 

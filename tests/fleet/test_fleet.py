@@ -51,6 +51,10 @@ class TestScenario:
         other = dataclasses.replace(base, seed=2)
         assert base.fingerprint() == hooked.fingerprint()
         assert base.fingerprint() != other.fingerprint()
+        # Pinned digests: checkpoints written by earlier versions, whose
+        # scenarios carried more (unfingerprinted) fields, must resume.
+        assert base.fingerprint() == "7c6026502fd68176"
+        assert TreeScenario(tree_id="t0").fingerprint() == "017caa346455cb81"
 
     def test_round_trips_through_dict(self):
         scenario = small_scenario(optional=True, crash_at_slotframe=2)

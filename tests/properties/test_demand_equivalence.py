@@ -51,7 +51,7 @@ def _build(scenario, incremental):
     harp.allocate()
     if incremental:
         _compare_audits(harp)
-    manager = TopologyManager(harp, incremental=incremental)
+    manager = TopologyManager(harp)
     return harp, manager
 
 

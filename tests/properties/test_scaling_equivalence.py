@@ -3,7 +3,7 @@
 Every optimization in the 10k-node scaling PR claims *outcome identity*
 with the code it replaced: same indices, same placements, same verdicts.
 These properties pin that claim down — each fast path is driven against
-its naive counterpart (kept in-tree or re-stated here) over generated
+its naive counterpart (kept beside this file or re-stated here) over generated
 inputs, and the results must match byte for byte.
 """
 
@@ -33,7 +33,9 @@ from repro.net.topology import (
 )
 from repro.packing.free_space import FreeSpace, pack_with_obstacles
 from repro.packing.geometry import PlacedRect, Rect
-from repro.packing.skyline import ReferenceSkylinePacker, SkylinePacker
+from repro.packing.skyline import SkylinePacker
+
+from reference_skyline import ReferenceSkylinePacker
 
 
 # ----------------------------------------------------------------------
