@@ -22,7 +22,7 @@ from scipy import stats as scipy_stats
 
 from .core.partition import PartitionTable
 from .net.slotframe import Schedule
-from .net.topology import Direction, TreeTopology
+from .net.topology import Direction, LinkRef, TreeTopology
 from .packing.free_space import FreeSpace
 from .packing.geometry import PlacedRect
 
@@ -150,8 +150,6 @@ def partition_fragmentation(
         space = FreeSpace(region)
         used = 0
         for child in topology.children_of(owner):
-            from .net.topology import LinkRef
-
             for cell in schedule.cells_of(LinkRef(child, partition.direction)):
                 placed = PlacedRect(cell.slot, cell.channel, 1, 1)
                 if region.contains(placed):

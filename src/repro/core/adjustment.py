@@ -40,7 +40,7 @@ from ..packing.composition import CompositionCache
 from ..packing.free_space import pack_with_obstacles
 from ..packing.geometry import PlacedRect, Rect
 from ..packing.rpp import can_pack
-from .component import ResourceComponent, ResourceInterface
+from .component import ResourceComponent
 from .interface_gen import InterfaceTable, recompose_at
 from .partition import Partition, PartitionKey, PartitionTable
 
@@ -161,6 +161,10 @@ class PartitionAdjuster:
 
         Returns the adjustment report; on failure the previous state is
         restored and ``success`` is False.
+
+        The interface and partition tables log the prior value of every
+        key this request writes; a rejection replays that undo log, and
+        the log is dropped when the request returns.
         """
         if layer == self.topology.node_layer(owner) and n_channels > 1:
             raise ValueError(
@@ -168,6 +172,24 @@ class PartitionAdjuster:
                 "must stay one channel tall: its links share the half-duplex "
                 "node and can never occupy the same slot"
             )
+        table = self.tables[direction]
+        table.undo = []
+        self.partitions.undo = []
+        try:
+            return self._increase(table, owner, layer, direction, n_slots, n_channels)
+        finally:
+            table.undo = self.partitions.undo = None
+
+    def _increase(
+        self,
+        table: InterfaceTable,
+        owner: int,
+        layer: int,
+        direction: Direction,
+        n_slots: int,
+        n_channels: int,
+    ) -> AdjustmentOutcome:
+        """:meth:`request_component_increase` with the undo logs open."""
         outcome = AdjustmentOutcome(
             owner=owner,
             layer=layer,
@@ -175,11 +197,9 @@ class PartitionAdjuster:
             start_slot=self.plane.now_slot,
         )
         outcome.involved_nodes.add(owner)
-        snapshot = self._snapshot(direction)
-        table = self.tables[direction]
 
         current_part = self.partitions.get(owner, layer, direction)
-        self._store_component(table, owner, layer, n_slots, n_channels)
+        table.set_component(ResourceComponent(owner, layer, n_slots, n_channels))
 
         # Case 1: the enlarged component still fits the current region.
         if (
@@ -206,7 +226,8 @@ class PartitionAdjuster:
                 if self._gateway_resize(direction, outcome, layer):
                     outcome.case = "gateway-local"
                 else:
-                    self._restore(direction, snapshot)
+                    table.roll_back()
+                    self.partitions.roll_back()
                     outcome.success = False
                     outcome.case = "rejected"
                 break
@@ -240,7 +261,8 @@ class PartitionAdjuster:
                 ):
                     outcome.case = "gateway-resize"
                 else:
-                    self._restore(direction, snapshot)
+                    table.roll_back()
+                    self.partitions.roll_back()
                     outcome.success = False
                     outcome.case = "rejected"
                 break
@@ -287,7 +309,7 @@ class PartitionAdjuster:
         )
         outcome.involved_nodes.add(owner)
         table = self.tables[direction]
-        self._store_component(table, owner, layer, n_slots, n_channels)
+        table.set_component(ResourceComponent(owner, layer, n_slots, n_channels))
         if layer == self.topology.node_layer(owner):
             outcome.schedule_update_messages += self.rescheduler(owner, direction)
         outcome.end_slot = self.plane.now_slot
@@ -586,8 +608,8 @@ class PartitionAdjuster:
             grown_child,
         )
         table.set_layout(gateway, trigger_layer, layout)
-        self._store_component(
-            table, gateway, trigger_layer, new_width, new_height
+        table.set_component(
+            ResourceComponent(gateway, trigger_layer, new_width, new_height)
         )
         self._apply_gateway_regions(direction, outcome, trigger_layer, regions)
         return True
@@ -727,42 +749,6 @@ class PartitionAdjuster:
     # ------------------------------------------------------------------
     # state management
     # ------------------------------------------------------------------
-
-    def _store_component(
-        self,
-        table: InterfaceTable,
-        owner: int,
-        layer: int,
-        n_slots: int,
-        n_channels: int,
-    ) -> None:
-        if owner not in table.interfaces:
-            table.interfaces[owner] = ResourceInterface(
-                owner=owner, direction=table.direction
-            )
-        table.interfaces[owner].add(
-            ResourceComponent(owner, layer, n_slots, n_channels)
-        )
-
-    def _snapshot(self, direction: Direction) -> Tuple:
-        table = self.tables[direction]
-        interfaces = {
-            node: ResourceInterface(
-                owner=iface.owner,
-                direction=iface.direction,
-                components=dict(iface.components),
-            )
-            for node, iface in table.interfaces.items()
-        }
-        layouts = {key: dict(layout) for key, layout in table.layouts.items()}
-        return (interfaces, layouts, self.partitions.copy())
-
-    def _restore(self, direction: Direction, snapshot: Tuple) -> None:
-        interfaces, layouts, partitions = snapshot
-        table = self.tables[direction]
-        table.interfaces = interfaces
-        table.layouts = layouts
-        self.partitions.restore(partitions)
 
     def _finalize_depths(self, outcome: AdjustmentOutcome) -> None:
         outcome._depths = [

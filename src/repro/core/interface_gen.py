@@ -33,6 +33,9 @@ from .component import ResourceComponent, ResourceInterface
 #: composite component origin* in (slot, channel) coordinates.
 Layout = Dict[Hashable, PlacedRect]
 
+#: Undo-log marker: the key was absent before the write.
+_ABSENT = object()
+
 
 @dataclass
 class InterfaceTable:
@@ -42,6 +45,12 @@ class InterfaceTable:
     interfaces: Dict[int, ResourceInterface] = field(default_factory=dict)
     layouts: Dict[Tuple[int, int], Layout] = field(default_factory=dict)
     post_intf_messages: int = 0
+    #: Undo log: None (the default) records nothing; while it is a list,
+    #: every write through :meth:`set_component` / :meth:`set_layout`
+    #: appends ``(mapping, key, prior value or _ABSENT)``.
+    undo: Optional[List[Tuple[dict, Hashable, object]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def interface_of(self, node: int) -> ResourceInterface:
         """Interface of subtree ``G_node`` (KeyError for leaves)."""
@@ -61,12 +70,34 @@ class InterfaceTable:
         return self.layouts[(node, layer)]
 
     def set_component(self, component: ResourceComponent) -> None:
-        """Replace a stored component (dynamic adjustment bookkeeping)."""
-        self.interfaces[component.owner].add(component)
+        """Insert or replace a stored component (dynamic adjustment
+        bookkeeping), creating the owner's interface when absent."""
+        owner = component.owner
+        if owner not in self.interfaces:
+            self._write(self.interfaces, owner, ResourceInterface(
+                owner=owner, direction=self.direction
+            ))
+        self._write(
+            self.interfaces[owner].components, component.layer, component
+        )
 
     def set_layout(self, node: int, layer: int, layout: Layout) -> None:
         """Replace a stored composition layout."""
-        self.layouts[(node, layer)] = layout
+        self._write(self.layouts, (node, layer), layout)
+
+    def _write(self, mapping: dict, key: Hashable, value: object) -> None:
+        if self.undo is not None:
+            self.undo.append((mapping, key, mapping.get(key, _ABSENT)))
+        mapping[key] = value
+
+    def roll_back(self) -> None:
+        """Undo every write in the undo log, newest first, and close it."""
+        log, self.undo = self.undo, None
+        for mapping, key, prior in reversed(log):
+            if prior is _ABSENT:
+                del mapping[key]
+            else:
+                mapping[key] = prior
 
 
 def generate_interfaces(
@@ -188,10 +219,8 @@ def recompose_at(
         child_rects = widened
     composed = compose_components(child_rects, num_channels, cache)
     component = ResourceComponent(node, layer, composed.n_slots, composed.n_channels)
-    if node not in table.interfaces:
-        table.interfaces[node] = ResourceInterface(owner=node, direction=table.direction)
-    table.interfaces[node].add(component)
-    table.layouts[(node, layer)] = composed.layout
+    table.set_component(component)
+    table.set_layout(node, layer, composed.layout)
     return component
 
 

@@ -124,20 +124,38 @@ class PartitionTable:
         #: Keys set or removed since :meth:`record_changes`, or None while
         #: nothing is being recorded (the default).
         self.changed: Optional[Set[PartitionKey]] = None
+        #: Undo log: None (the default) records nothing; while it is a
+        #: list, :meth:`set` and :meth:`remove` append ``(key, prior
+        #: partition or None)``.
+        self.undo: Optional[List[Tuple[PartitionKey, Optional[Partition]]]] = None
 
     def record_changes(self) -> None:
         """Start a fresh record of the keys that get set or removed — the
         input of :meth:`validate_keys_isolation`."""
         self.changed = set()
 
+    def roll_back(self) -> None:
+        """Undo every write in the undo log, newest first, and close it.
+        The undo goes through :meth:`set` / :meth:`remove`, so both
+        indexes and the change record stay consistent."""
+        log, self.undo = self.undo, None
+        for key, prior in reversed(log):
+            if prior is None:
+                self.remove(*key)
+            else:
+                self.set(prior)
+
     def set(self, partition: Partition) -> None:
         """Insert or replace a partition."""
-        self._table[partition.key] = partition
+        key = partition.key
+        if self.undo is not None:
+            self.undo.append((key, self._table.get(key)))
+        self._table[key] = partition
         self._by_owner.setdefault(partition.owner, {})[
             (partition.layer, partition.direction)
         ] = partition
         if self.changed is not None:
-            self.changed.add(partition.key)
+            self.changed.add(key)
 
     def get(
         self, owner: int, layer: int, direction: Direction
@@ -153,6 +171,8 @@ class PartitionTable:
         """Delete a partition if present."""
         removed = self._table.pop((owner, layer, direction), None)
         if removed is not None:
+            if self.undo is not None:
+                self.undo.append((removed.key, removed))
             owned = self._by_owner[owner]
             del owned[(layer, direction)]
             if not owned:
@@ -185,22 +205,6 @@ class PartitionTable:
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(sorted(self._table.values(), key=lambda p: p.key[:2]))
-
-    def copy(self) -> "PartitionTable":
-        """Shallow copy (partitions are immutable) that records nothing."""
-        clone = PartitionTable()
-        clone._table = dict(self._table)
-        clone._by_owner = {
-            owner: dict(owned) for owner, owned in self._by_owner.items()
-        }
-        return clone
-
-    def restore(self, snapshot: "PartitionTable") -> None:
-        """Roll back to ``snapshot`` (a :meth:`copy` taken earlier), both
-        indexes.  Every key that differs was set or removed since the
-        snapshot, so the change record already holds it."""
-        self._table = snapshot._table
-        self._by_owner = snapshot._by_owner
 
     # ------------------------------------------------------------------
     # isolation invariants (Sec. IV-C)

@@ -3,10 +3,20 @@
 The partition-adjustment heuristic (Alg. 2) repeatedly asks: *can this set
 of components be placed into the idle rectangular areas of a partition,
 around the partitions we are not allowed to move?*  Skyline packing cannot
-answer that (it has no notion of fixed obstacles), so this module provides
-a MaxRects-style tracker: the container starts as one free rectangle; each
-occupied region splits intersecting free rectangles into up to four
-maximal pieces; non-maximal pieces are pruned.
+answer that (it has no notion of fixed obstacles), so this module tracks
+the container's free cells and derives its maximal free rectangles.
+
+The index is one int per channel row of the container (at most 16), a
+bitmask over the container's slots with occupied cells cleared, so
+:meth:`FreeSpace.occupy` is a clip plus one mask per covered row.  The
+maximal free rectangles are derived lazily and cached until the next
+change: for every band of rows ``a..b``, each maximal run of set bits in
+``AND(rows a..b)`` is a maximal rectangle unless that run is fully free in
+row ``a - 1`` or in row ``b + 1``.  This is exactly the *set* a MaxRects
+split-and-prune tracker maintains (kept as the test oracle in
+``tests/properties/reference_free_space.py``); since
+:meth:`FreeSpace.find_position` picks by value, no placement depends on
+the order of that set.
 
 :func:`pack_with_obstacles` then greedily places components into the free
 space using the best-short-side-fit rule, which is what the adjustment
@@ -18,6 +28,9 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import PlacedRect, Rect
+
+#: A free rectangle as plain ``(x, y, width, height)``.
+_Box = Tuple[int, int, int, int]
 
 
 class FreeSpace:
@@ -32,66 +45,37 @@ class FreeSpace:
 
     def __init__(self, container: PlacedRect) -> None:
         self.container = container
-        self._free: List[PlacedRect] = [] if container.is_empty else [container]
+        full = (1 << container.width) - 1
+        # Bit i of row j is free cell (container.x + i, container.y + j).
+        self._rows: List[int] = [full] * container.height if full else []
+        self._maximal: Optional[List[_Box]] = None
 
     @property
     def free_rects(self) -> List[PlacedRect]:
-        """Current list of maximal free rectangles (copies not needed:
-        :class:`PlacedRect` is frozen)."""
-        return list(self._free)
-
-    @property
-    def free_area(self) -> int:
-        """Total idle cells (free rectangles overlap, so this counts the
-        union via inclusion over maximal rects only when disjoint; use
-        :meth:`idle_cells` for an exact count)."""
-        return sum(r.area for r in self._free)
+        """Current maximal free rectangles (a set; the order carries no
+        meaning)."""
+        return [PlacedRect(x, y, w, h) for x, y, w, h in self._boxes()]
 
     def idle_cells(self) -> int:
-        """Exact number of idle cells (union of free rectangles)."""
-        seen = set()
-        for rect in self._free:
-            seen.update(rect.cells())
-        return len(seen)
+        """Exact number of idle cells."""
+        return sum(row.bit_count() for row in self._rows)
 
     def occupy(self, rect: PlacedRect) -> None:
-        """Mark ``rect`` as occupied, splitting free space around it.
-
-        Only freshly split pieces can be non-maximal: the surviving
-        (untouched) rectangles were already mutually containment-free,
-        and a piece is a strict subset of its overlapping parent, so it
-        can never contain an untouched rectangle.  Pruning therefore
-        checks each new piece against the full list instead of running
-        the all-pairs :func:`_prune` — same survivors, same order.
-        """
-        if rect.is_empty:
+        """Mark ``rect`` (clipped to the container) as occupied."""
+        box = self.container
+        x1 = max(rect.x, box.x)
+        x2 = min(rect.x + rect.width, box.x + box.width)
+        y1 = max(rect.y, box.y)
+        y2 = min(rect.y + rect.height, box.y + box.height)
+        if x1 >= x2 or y1 >= y2:
             return
-        entries: List[Tuple[PlacedRect, bool]] = []
-        any_new = False
-        for free in self._free:
-            if not free.overlaps(rect):
-                entries.append((free, False))
-                continue
-            any_new = True
-            for piece in _split(free, rect):
-                entries.append((piece, True))
-        if not any_new:
-            return
-        kept: List[PlacedRect] = []
-        for i, (a, is_new) in enumerate(entries):
-            if not is_new:
-                kept.append(a)
-                continue
-            contained = False
-            for j, (b, _) in enumerate(entries):
-                if i == j:
-                    continue
-                if b.contains(a) and not (a.contains(b) and i < j):
-                    contained = True
-                    break
-            if not contained:
-                kept.append(a)
-        self._free = kept
+        keep = ~(((1 << (x2 - x1)) - 1) << (x1 - box.x))
+        rows = self._rows
+        for j in range(y1 - box.y, y2 - box.y):
+            row = rows[j]
+            if row & keep != row:
+                rows[j] = row & keep
+                self._maximal = None
 
     def find_position(self, rect: Rect) -> Optional[PlacedRect]:
         """Best-short-side-fit position for ``rect``, or None.
@@ -99,26 +83,28 @@ class FreeSpace:
         Chooses the free rectangle minimizing the smaller leftover
         dimension (ties: smaller larger-leftover, then lower-left), and
         places the rectangle at that free rectangle's lower-left corner.
+        Rectangles with equal keys share their corner, so the choice does
+        not depend on the order of the free set.
         """
         if rect.is_empty:
             return rect.at(self.container.x, self.container.y)
-        best: Optional[PlacedRect] = None
+        width = rect.width
+        height = rect.height
         best_key = None
-        for free in self._free:
-            if rect.width > free.width or rect.height > free.height:
+        for x, y, w, h in self._boxes():
+            if width > w or height > h:
                 continue
-            leftover_w = free.width - rect.width
-            leftover_h = free.height - rect.height
-            key = (
-                min(leftover_w, leftover_h),
-                max(leftover_w, leftover_h),
-                free.y,
-                free.x,
-            )
+            leftover_w = w - width
+            leftover_h = h - height
+            if leftover_w <= leftover_h:
+                key = (leftover_w, leftover_h, y, x)
+            else:
+                key = (leftover_h, leftover_w, y, x)
             if best_key is None or key < best_key:
                 best_key = key
-                best = rect.at(free.x, free.y)
-        return best
+        if best_key is None:
+            return None
+        return rect.at(best_key[3], best_key[2])
 
     def place(self, rect: Rect) -> Optional[PlacedRect]:
         """Find a position for ``rect`` and occupy it.  None if no fit."""
@@ -127,86 +113,43 @@ class FreeSpace:
             self.occupy(placed)
         return placed
 
-
-def _split(free: PlacedRect, used: PlacedRect) -> List[PlacedRect]:
-    """Split ``free`` around ``used``; returns up to four remainders."""
-    pieces: List[PlacedRect] = []
-    if used.x > free.x:  # left remainder
-        pieces.append(PlacedRect(free.x, free.y, used.x - free.x, free.height))
-    if used.x2 < free.x2:  # right remainder
-        pieces.append(PlacedRect(used.x2, free.y, free.x2 - used.x2, free.height))
-    if used.y > free.y:  # bottom remainder
-        pieces.append(PlacedRect(free.x, free.y, free.width, used.y - free.y))
-    if used.y2 < free.y2:  # top remainder
-        pieces.append(PlacedRect(free.x, used.y2, free.width, free.y2 - used.y2))
-    return [p for p in pieces if not p.is_empty]
-
-
-def _prune(rects: List[PlacedRect]) -> List[PlacedRect]:
-    """Drop rectangles contained in another (keep only maximal ones)."""
-    kept: List[PlacedRect] = []
-    for i, a in enumerate(rects):
-        contained = False
-        for j, b in enumerate(rects):
-            if i == j:
-                continue
-            if b.contains(a) and not (a.contains(b) and i < j):
-                contained = True
-                break
-        if not contained:
-            kept.append(a)
-    return kept
-
-
-#: Obstacle-count cutoff for the O(k²) disjointness check guarding the
-#: area bound in :func:`_rejected_by_bounds`.
-_DISJOINT_CHECK_MAX = 32
-
-
-def _rejected_by_bounds(
-    components: Sequence[Rect],
-    container: PlacedRect,
-    obstacles: Sequence[PlacedRect],
-) -> bool:
-    """Cheap, outcome-identical infeasibility bounds.
-
-    True only when the greedy placement below is *guaranteed* to fail:
-    a component exceeds the container's dimensions, or total component
-    area exceeds the available free area.  The obstacle-adjusted area
-    bound is applied only when the (container-clipped) obstacles are
-    pairwise disjoint — the usual case, by the isolation invariant —
-    since overlapping obstacles would make the subtraction overcount.
-    """
-    demand = 0
-    for comp in components:
-        if comp.is_empty:
-            continue
-        if comp.width > container.width or comp.height > container.height:
-            return True
-        demand += comp.area
-    if demand > container.area:
-        return True
-    if obstacles and len(obstacles) <= _DISJOINT_CHECK_MAX:
-        clipped = []
-        for obs in obstacles:
-            x = max(obs.x, container.x)
-            y = max(obs.y, container.y)
-            w = min(obs.x2, container.x2) - x
-            h = min(obs.y2, container.y2) - y
-            if w > 0 and h > 0:
-                clipped.append((x, y, w, h))
-        for i, a in enumerate(clipped):
-            for b in clipped[:i]:
-                if (
-                    a[0] < b[0] + b[2]
-                    and b[0] < a[0] + a[2]
-                    and a[1] < b[1] + b[3]
-                    and b[1] < a[1] + a[3]
-                ):
-                    return False  # overlapping obstacles: skip the bound
-        if demand > container.area - sum(w * h for _, _, w, h in clipped):
-            return True
-    return False
+    def _boxes(self) -> List[_Box]:
+        """The maximal free rectangles, derived band by band and cached."""
+        if self._maximal is not None:
+            return self._maximal
+        rows = self._rows
+        n = len(rows)
+        x0 = self.container.x
+        y0 = self.container.y
+        boxes: List[_Box] = []
+        for a in range(n):
+            below = rows[a - 1] if a else 0
+            band = rows[a]
+            for b in range(a, n):
+                if b > a:
+                    band &= rows[b]
+                if not band:
+                    break
+                above = rows[b + 1] if b + 1 < n else 0
+                # Only runs with a cell blocked both below and above are
+                # maximal; skip the band when no run can qualify.
+                if not band & ~below or not band & ~above:
+                    continue
+                starts = band & ~(band << 1)
+                ends = band & ~(band >> 1)
+                while starts:
+                    first = starts & -starts
+                    last = ends & -ends
+                    starts ^= first
+                    ends ^= last
+                    run = (last << 1) - first
+                    if below & run != run and above & run != run:
+                        s = first.bit_length() - 1
+                        boxes.append(
+                            (x0 + s, y0 + a, last.bit_length() - s, b - a + 1)
+                        )
+        self._maximal = boxes
+        return boxes
 
 
 def pack_with_obstacles(
@@ -221,12 +164,24 @@ def pack_with_obstacles(
     best-short-side-fit.  Returns a tag -> placement map (absolute
     coordinates) or ``None`` when some component could not be placed.
     This is a heuristic: ``None`` does not prove infeasibility.
+
+    Two bounds reject early without changing the outcome: a component
+    larger than the container, or more component area than idle cells
+    once the obstacles are occupied — the greedy loop can never place
+    more than that.
     """
-    if _rejected_by_bounds(components, container, obstacles):
-        return None
+    demand = 0
+    for comp in components:
+        if comp.is_empty:
+            continue
+        if comp.width > container.width or comp.height > container.height:
+            return None
+        demand += comp.area
     space = FreeSpace(container)
     for obstacle in obstacles:
         space.occupy(obstacle)
+    if demand > space.idle_cells():
+        return None
     layout: Dict[Hashable, PlacedRect] = {}
     ordered = sorted(
         components, key=lambda c: (-c.area, -c.width, -c.height, repr(c.tag))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.component import ResourceComponent
 from repro.core.manager import HarpNetwork
 from repro.core.partition import Partition
 from repro.net.slotframe import SlotframeConfig
@@ -153,6 +154,97 @@ class TestRejection:
         )
         assert outcome.case == "rejected"
         assert {node: partitions.of_node(node) for node in tree.nodes} == before
+        harp.validate()
+
+
+    def test_rollback_restores_every_index_key_by_key(
+        self, tree, monkeypatch
+    ):
+        """Gateway strategies that write a component, a layout and both
+        kinds of partition edit before giving up: after the rejection
+        every index equals a copy taken before the request."""
+        harp = make_harp(tree, num_slots=24)
+        adjuster = harp.adjuster
+        partitions = harp.partitions
+        table = harp.tables[Direction.UP]
+
+        def indexes():
+            return {
+                "interfaces": {
+                    direction: {
+                        node: dict(interface.components)
+                        for node, interface in t.interfaces.items()
+                    }
+                    for direction, t in harp.tables.items()
+                },
+                "layouts": {
+                    direction: {key: dict(layout) for key, layout in t.layouts.items()}
+                    for direction, t in harp.tables.items()
+                },
+                "table": dict(partitions._table),
+                "by_owner": {
+                    owner: dict(owned)
+                    for owner, owned in partitions._by_owner.items()
+                },
+                "of_node": {node: partitions.of_node(node) for node in tree.nodes},
+            }
+
+        before = indexes()
+        assert 7 not in table.interfaces  # a leaf: the write creates one
+        assert not table.has_component(1, 4)
+
+        def write_then_fail(direction, outcome, trigger_layer, component):
+            table.set_component(ResourceComponent(2, 2, 9, 2))
+            table.set_component(ResourceComponent(1, 4, 3, 1))
+            table.set_component(ResourceComponent(7, 4, 1, 1))
+            table.set_layout(2, 3, {5: PlacedRect(0, 0, 1, 1, 5)})
+            table.set_layout(4, 9, {})
+            moved = partitions.require(2, 2, direction)
+            partitions.set(moved.moved_to(PlacedRect(20, 9, 1, 1)))
+            partitions.set(Partition(4, 2, direction, PlacedRect(21, 9, 1, 1)))
+            partitions.remove(1, 2, direction)
+            partitions.set(Partition(1, 2, direction, PlacedRect(22, 9, 1, 1)))
+            partitions.remove(0, 1, direction)
+            return False
+
+        monkeypatch.setattr(adjuster, "_gateway_relocate", write_then_fail)
+        monkeypatch.setattr(
+            adjuster, "_gateway_sequential", lambda *args: False
+        )
+        outcome = adjuster.request_component_increase(
+            1, 2, Direction.UP, 1000
+        )
+        assert outcome.case == "rejected"
+        after = indexes()
+        for name in before:
+            assert after[name] == before[name], name
+        assert table.undo is None and partitions.undo is None
+        harp.validate()
+
+    def test_requests_leave_no_open_undo_log(self, tree):
+        """The undo log lives for one request only: a success, a Case-1
+        update and a rejection all close it, so nothing grows across
+        operations."""
+        harp = make_harp(tree, num_slots=80)
+        adjuster = harp.adjuster
+        table = harp.tables[Direction.UP]
+        comp = table.component(1, 2)
+        grown = adjuster.request_component_increase(
+            1, 2, Direction.UP, comp.n_slots + 2
+        )
+        assert grown.success and grown.case != "local-schedule"
+        assert table.undo is None and harp.partitions.undo is None
+        comp = table.component(3, 3)
+        local = adjuster.request_component_increase(
+            3, 3, Direction.UP, comp.n_slots
+        )
+        assert local.case == "local-schedule"
+        assert table.undo is None and harp.partitions.undo is None
+        rejected = adjuster.request_component_increase(
+            1, 2, Direction.UP, 1000
+        )
+        assert rejected.case == "rejected"
+        assert table.undo is None and harp.partitions.undo is None
         harp.validate()
 
 

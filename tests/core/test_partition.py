@@ -63,13 +63,21 @@ class TestPartitionTable:
         assert len(table.of_node(1)) == 2
         assert [p.owner for p in table.at_layer(2, Direction.UP)] == [1, 2]
 
-    def test_copy_independent(self):
+    def test_roll_back_undoes_sets_and_removes(self):
         table = PartitionTable()
         table.set(make_partition(1, 1, 0, 2))
-        clone = table.copy()
-        clone.set(make_partition(2, 1, 2, 2))
-        assert len(table) == 1
-        assert len(clone) == 2
+        table.set(make_partition(1, 2, 2, 2))
+        before = {p.key: p for p in table}
+        table.undo = []
+        table.set(make_partition(2, 1, 2, 2))
+        table.set(make_partition(1, 1, 4, 2))
+        table.remove(1, 2, Direction.UP)
+        table.set(make_partition(1, 2, 6, 2))
+        table.roll_back()
+        assert table.undo is None
+        assert {p.key: p for p in table} == before
+        assert table.of_node(1) == [before[k] for k in sorted(before)]
+        assert table.of_node(2) == []
 
     def test_iteration_sorted(self):
         table = PartitionTable()

@@ -35,6 +35,7 @@ from repro.packing.free_space import FreeSpace, pack_with_obstacles
 from repro.packing.geometry import PlacedRect, Rect
 from repro.packing.skyline import SkylinePacker
 
+from reference_free_space import reference_pack_with_obstacles
 from reference_skyline import ReferenceSkylinePacker
 
 
@@ -182,21 +183,10 @@ def test_fast_skyline_is_byte_identical_to_reference(rects, width, bound):
 
 
 def _naive_pack_with_obstacles(components, container, obstacles):
-    """The greedy placement loop without the infeasibility bounds —
-    the pre-optimization behavior of :func:`pack_with_obstacles`."""
-    space = FreeSpace(container)
-    for obstacle in obstacles:
-        space.occupy(obstacle)
-    layout = {}
-    ordered = sorted(
-        components, key=lambda c: (-c.area, -c.width, -c.height, repr(c.tag))
-    )
-    for comp in ordered:
-        placed = space.place(comp)
-        if placed is None:
-            return None
-        layout[comp.tag] = placed
-    return layout
+    """The greedy placement loop without the infeasibility bounds, over
+    the split-and-prune oracle — the pre-optimization behavior of
+    :func:`pack_with_obstacles`."""
+    return reference_pack_with_obstacles(components, container, obstacles)
 
 
 placed_rects = st.lists(
